@@ -34,6 +34,21 @@ use wnsk_exec::{ExecMetrics, Executor};
 use wnsk_obs::Registry;
 use wnsk_shard::Coordinator;
 
+/// Longest request line, in bytes without its newline, that a
+/// connection may send. A longer line is answered with one protocol
+/// error and the connection is closed, so one client cannot grow a
+/// connection's buffer without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Answers an over-long request line and lets the caller close the
+/// connection.
+fn reject_oversized(stream: &mut TcpStream) {
+    let response = protocol::render_error(&format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+    let _ = stream.write_all(response.as_bytes());
+    let _ = stream.write_all(b"\n");
+    let _ = stream.flush();
+}
+
 /// Server configuration, mirrored by `wnsk serve`'s flags.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -189,6 +204,9 @@ impl Shared {
 
     /// Handles one client connection: line-framed request/response with
     /// a read timeout so shutdown is observed even on idle connections.
+    /// Each read scans only the bytes it appended for newlines, and a
+    /// line longer than [`MAX_LINE_BYTES`] gets one error response
+    /// before the connection is closed.
     fn handle_connection(&self, mut stream: TcpStream) {
         let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
         let _ = stream.set_nodelay(true);
@@ -201,10 +219,18 @@ impl Shared {
             match stream.read(&mut chunk) {
                 Ok(0) => return,
                 Ok(n) => {
+                    // `pending` before this read holds no newline.
+                    let mut scanned = pending.len();
                     pending.extend_from_slice(&chunk[..n]);
-                    while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                        let line: Vec<u8> = pending.drain(..=pos).collect();
-                        let line = String::from_utf8_lossy(&line);
+                    let mut start = 0;
+                    while let Some(off) = pending[scanned..].iter().position(|&b| b == b'\n') {
+                        let end = scanned + off;
+                        if end - start > MAX_LINE_BYTES {
+                            return reject_oversized(&mut stream);
+                        }
+                        let line = String::from_utf8_lossy(&pending[start..end]);
+                        start = end + 1;
+                        scanned = start;
                         let line = line.trim();
                         if line.is_empty() {
                             continue;
@@ -216,6 +242,10 @@ impl Shared {
                             return;
                         }
                         let _ = stream.flush();
+                    }
+                    pending.drain(..start);
+                    if pending.len() > MAX_LINE_BYTES {
+                        return reject_oversized(&mut stream);
                     }
                 }
                 Err(e)

@@ -315,3 +315,43 @@ fn malformed_and_unresolvable_requests_answer_without_queueing() {
     );
     handle.shutdown();
 }
+
+#[test]
+fn line_framing_is_incremental_and_bounded() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
+    use wnsk_serve::server::MAX_LINE_BYTES;
+
+    let handle = Server::start(warm_engine(), ServerConfig::default()).unwrap();
+
+    // A request dribbled in one byte per write still parses.
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    // A server that never answers fails the test instead of hanging it.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .unwrap();
+    let line = format!("{}\n", stats_line());
+    for byte in line.as_bytes() {
+        stream.write_all(std::slice::from_ref(byte)).unwrap();
+        stream.flush().unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut response = String::new();
+    reader.read_line(&mut response).unwrap();
+    let doc = JsonValue::parse(response.trim()).unwrap();
+    assert_eq!(doc.get("ok"), Some(&JsonValue::Bool(true)), "{response}");
+
+    // One byte over the cap without a newline: one error, then EOF.
+    stream.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
+    let mut rest = String::new();
+    reader.read_to_string(&mut rest).unwrap();
+    let mut lines = rest.lines();
+    let doc = JsonValue::parse(lines.next().expect("an error line")).unwrap();
+    assert_eq!(doc.get("ok"), Some(&JsonValue::Bool(false)));
+    let err = doc.get("error").and_then(|v| v.as_str()).unwrap();
+    assert!(err.contains("request line exceeds"), "got '{err}'");
+    assert_eq!(lines.next(), None, "the connection closes after the error");
+    handle.shutdown();
+}
