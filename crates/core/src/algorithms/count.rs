@@ -25,64 +25,10 @@ use crate::rank::SetRankOutcome;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use wnsk_exec::{ExecMetrics, Executor};
-use wnsk_index::{KcrTree, LeafSimKernel, ObjectId, ScoredChildren, SetRTree, SpatialKeywordQuery};
+use wnsk_index::{
+    AggTree, Aggregate, LeafSimKernel, ObjectId, ScoredChildren, SpatialKeywordQuery,
+};
 use wnsk_storage::BlobRef;
-
-/// A tree the counting traversal can descend: both paper indexes expose
-/// score-bounded children through [`ScoredChildren`].
-pub(crate) trait CountableTree: Sync {
-    fn root(&self) -> BlobRef;
-    fn is_empty(&self) -> bool;
-    fn scored_children(
-        &self,
-        query: &SpatialKeywordQuery,
-        node: BlobRef,
-        kernel: Option<&LeafSimKernel>,
-    ) -> wnsk_storage::Result<ScoredChildren>;
-    /// Credits `n` subtrees pruned by the score bound to the tree's
-    /// traversal stats.
-    fn count_pruned(&self, n: u64);
-}
-
-impl CountableTree for SetRTree {
-    fn root(&self) -> BlobRef {
-        SetRTree::root(self)
-    }
-    fn is_empty(&self) -> bool {
-        SetRTree::is_empty(self)
-    }
-    fn scored_children(
-        &self,
-        query: &SpatialKeywordQuery,
-        node: BlobRef,
-        kernel: Option<&LeafSimKernel>,
-    ) -> wnsk_storage::Result<ScoredChildren> {
-        SetRTree::scored_children_with(self, query, node, kernel)
-    }
-    fn count_pruned(&self, n: u64) {
-        self.traversal().nodes_pruned.add(n);
-    }
-}
-
-impl CountableTree for KcrTree {
-    fn root(&self) -> BlobRef {
-        KcrTree::root(self)
-    }
-    fn is_empty(&self) -> bool {
-        KcrTree::is_empty(self)
-    }
-    fn scored_children(
-        &self,
-        query: &SpatialKeywordQuery,
-        node: BlobRef,
-        kernel: Option<&LeafSimKernel>,
-    ) -> wnsk_storage::Result<ScoredChildren> {
-        KcrTree::scored_children_with(self, query, node, kernel)
-    }
-    fn count_pruned(&self, n: u64) {
-        self.traversal().nodes_pruned.add(n);
-    }
-}
 
 /// Shared state of one counting rank determination. Node tasks tally
 /// dominators into `dominators`; `pending` tracks the scan's own
@@ -149,14 +95,14 @@ impl CountScan {
     /// Expands one node: leaf dominators are tallied, child subtrees
     /// whose score bound exceeds the target are handed to `spawn`
     /// (which must route them back into this scan as node tasks).
-    pub(crate) fn expand_node<T: CountableTree + ?Sized>(
+    pub(crate) fn expand_node<A: Aggregate>(
         &self,
-        tree: &T,
+        tree: &AggTree<A>,
         node: BlobRef,
         mut spawn: impl FnMut(BlobRef),
     ) -> Result<()> {
         match tree
-            .scored_children(&self.query, node, self.kernel.as_ref())
+            .scored_children_with(&self.query, node, self.kernel.as_ref())
             .map_err(crate::WhyNotError::Storage)?
         {
             ScoredChildren::Leaf(objects) => {
@@ -186,7 +132,7 @@ impl CountScan {
                     }
                 }
                 if pruned > 0 {
-                    tree.count_pruned(pruned);
+                    tree.traversal().nodes_pruned.add(pruned);
                 }
             }
         }
@@ -197,8 +143,8 @@ impl CountScan {
 /// Computes `R(M, q)` — one plus the strict-dominator count of the
 /// worst-scoring target — by fanning subtree tasks across `exec`.
 /// Returns the identical rank to the sequential `rank_of_set` scan.
-pub(crate) fn parallel_rank(
-    tree: &(impl CountableTree + ?Sized),
+pub(crate) fn parallel_rank<A: Aggregate>(
+    tree: &AggTree<A>,
     exec: &Executor,
     metrics: &ExecMetrics,
     query: &SpatialKeywordQuery,

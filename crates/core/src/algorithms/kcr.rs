@@ -550,11 +550,7 @@ fn bound_and_prune(
         match node {
             KcrNode::Internal(entries) => {
                 for e in &entries {
-                    let summary = NodeSummary {
-                        mbr: e.mbr,
-                        cnt: e.cnt,
-                        kcm: tree.read_kcm(e.kcm).map_err(crate::WhyNotError::Storage)?,
-                    };
+                    let summary = tree.entry_summary(e).map_err(crate::WhyNotError::Storage)?;
                     let contrib = node_contrib(&summary, ctx, &mut cands, world);
                     for (i, &(hi, lo)) in contrib.iter().enumerate() {
                         sums[i].0 += hi as i64;
@@ -1013,11 +1009,7 @@ fn expand_batch_node(
     match node {
         KcrNode::Internal(entries) => {
             for e in &entries {
-                let summary = NodeSummary {
-                    mbr: e.mbr,
-                    cnt: e.cnt,
-                    kcm: tree.read_kcm(e.kcm).map_err(crate::WhyNotError::Storage)?,
-                };
+                let summary = tree.entry_summary(e).map_err(crate::WhyNotError::Storage)?;
                 let prep = prepare_node(&summary, ctx);
                 let min_dist = world.normalized_min_dist(&ctx.query.loc, &summary.mbr);
                 let max_dist = world.normalized_max_dist(&ctx.query.loc, &summary.mbr);

@@ -1,136 +1,131 @@
-//! The SetR-tree (§IV-B): an R-tree whose internal entries carry the
-//! union and intersection keyword sets of their subtrees.
+//! The SetR-tree (§IV-B): the aggregate R-tree whose internal entries
+//! carry the union and intersection keyword sets of their subtrees.
 //!
 //! Theorem 1 bounds the ranking score of every object under a node by
-//! combining `MinDist` with `|N∪ ∩ q.doc| / |N∩ ∪ q.doc|`; the search
-//! module turns that into an incremental best-first top-k scan and the
-//! rank-of-object search at the heart of the basic why-not algorithm.
+//! combining `MinDist` with `|N∪ ∩ q.doc| / |N∩ ∪ q.doc|`; the best-first
+//! search turns that into an incremental top-k scan and the rank-of-object
+//! search at the heart of the basic why-not algorithm.
 
-mod build;
-pub(crate) mod mutate;
-mod node;
-mod search;
-
-pub use node::{SetrInternalEntry, SetrLeafEntry, SetrNode};
-pub use search::{RankMode, RankOutcome, TopKSearch};
-
-use crate::model::Dataset;
 use crate::payload;
-use crate::stats::TraversalStats;
-use std::sync::Arc;
-use wnsk_geo::WorldBounds;
-use wnsk_obs::Registry;
-use wnsk_storage::{BlobRef, BlobStore, BufferPool, Result};
+use crate::query::SpatialKeywordQuery;
+use crate::tree::{AggTree, Aggregate, BestFirst, Labels, Node};
+use wnsk_geo::Rect;
+use wnsk_storage::codec::{Reader, Writer};
+use wnsk_storage::{BlobRef, BlobStore, Result};
 use wnsk_text::KeywordSet;
 
-/// Magic number identifying a SetR-tree meta page.
-const MAGIC: u32 = 0x5352_5431; // "SRT1"
-
-/// Tree-level metadata persisted on page 0.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Meta {
-    pub root: BlobRef,
-    pub height: u32,
-    pub n_objects: u64,
-    pub world: WorldBounds,
-    pub fanout: u32,
-}
+pub use crate::tree::{RankMode, RankOutcome};
 
 /// A disk-resident SetR-tree.
-///
-/// Built once with [`SetRTree::build`] and read-only afterwards, matching
-/// the paper's static datasets. All reads go through the buffer pool.
-pub struct SetRTree {
-    pool: Arc<BufferPool>,
-    blobs: BlobStore,
-    meta: Meta,
-    stats: TraversalStats,
+pub type SetRTree = AggTree<SetrAgg>;
+/// A decoded SetR-tree node.
+pub type SetrNode = Node<SetrAgg>;
+/// An incremental best-first scan over a [`SetRTree`].
+pub type TopKSearch<'a> = BestFirst<'a, SetrAgg>;
+
+/// The SetR aggregate: the union and intersection of a subtree's
+/// keyword sets.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SetrAgg {
+    pub union: KeywordSet,
+    pub intersection: KeywordSet,
 }
 
-impl SetRTree {
-    /// Bulk-loads a SetR-tree over `dataset` into the storage behind
-    /// `pool` (which must be empty) using the given node `fanout`.
-    pub fn build(pool: Arc<BufferPool>, dataset: &Dataset, fanout: usize) -> Result<Self> {
-        build::build(pool, dataset, fanout)
+/// How a SetR internal entry stores its child's sets: one blob each.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SetrRefs {
+    /// Blob holding the union of the subtree's keyword sets (`pku`).
+    pub union: BlobRef,
+    /// Blob holding the intersection of the subtree's keyword sets (`pki`).
+    pub intersection: BlobRef,
+}
+
+impl SetrAgg {
+    /// Folds `(union, intersection)` pairs; no pairs give two empty sets.
+    fn fold<'a>(mut parts: impl Iterator<Item = (&'a KeywordSet, &'a KeywordSet)>) -> Self {
+        let Some((union, intersection)) = parts.next() else {
+            return SetrAgg {
+                union: KeywordSet::empty(),
+                intersection: KeywordSet::empty(),
+            };
+        };
+        parts.fold(
+            SetrAgg {
+                union: union.clone(),
+                intersection: intersection.clone(),
+            },
+            |acc, (u, i)| SetrAgg {
+                union: acc.union.union(u),
+                intersection: acc.intersection.intersection(i),
+            },
+        )
+    }
+}
+
+impl Aggregate for SetrAgg {
+    type Refs = SetrRefs;
+    type Root = ();
+
+    const MAGIC: u32 = 0x5352_5431; // "SRT1"
+    const LABELS: Labels = Labels {
+        name: "SetR-tree",
+        build: "setr build",
+        remove: "setr remove",
+        node: "setr node",
+        meta: "setr meta page",
+    };
+    // The SetR-tree has no dominance bounds; registering their counters
+    // would only add permanent zero rows to every report.
+    const DOM_BOUNDS: bool = false;
+
+    fn of_docs<'a>(docs: impl Iterator<Item = &'a KeywordSet>) -> Self {
+        Self::fold(docs.map(|d| (d, d)))
     }
 
-    /// Opens a previously built tree from its storage.
-    pub fn open(pool: Arc<BufferPool>) -> Result<Self> {
-        let meta = build::read_meta(&pool)?;
-        Ok(Self::from_parts(pool, meta))
+    fn of_children<'a>(children: impl Iterator<Item = &'a Self>) -> Self {
+        Self::fold(children.map(|c| (&c.union, &c.intersection)))
     }
 
-    pub(crate) fn from_parts(pool: Arc<BufferPool>, meta: Meta) -> Self {
-        let blobs = BlobStore::new(Arc::clone(&pool));
-        SetRTree {
-            pool,
-            blobs,
-            meta,
-            stats: TraversalStats::detached(),
-        }
+    fn write(&self, blobs: &BlobStore) -> Result<SetrRefs> {
+        Ok(SetrRefs {
+            union: blobs.write(&payload::encode_keyword_set(&self.union))?,
+            intersection: blobs.write(&payload::encode_keyword_set(&self.intersection))?,
+        })
     }
 
-    /// The buffer pool (I/O metering lives here).
-    pub fn pool(&self) -> &Arc<BufferPool> {
-        &self.pool
+    fn read(blobs: &BlobStore, refs: &SetrRefs) -> Result<Self> {
+        Ok(SetrAgg {
+            union: payload::decode_keyword_set(&blobs.read(refs.union)?)?,
+            intersection: payload::decode_keyword_set(&blobs.read(refs.intersection)?)?,
+        })
     }
 
-    /// Traversal counters (node visits, pruned subtrees).
-    pub fn traversal(&self) -> &TraversalStats {
-        &self.stats
+    fn encode_refs(refs: &SetrRefs, w: &mut Writer) {
+        refs.union.encode(w);
+        refs.intersection.encode(w);
     }
 
-    /// Publishes the traversal counters into `registry` under `prefix`
-    /// (e.g. `"setr."`). The SetR-tree has no dominance bounds, so only
-    /// `node_visits` / `nodes_pruned` are registered.
-    pub fn register_metrics(&mut self, registry: &Registry, prefix: &str) {
-        self.stats.register(registry, prefix, false);
+    fn decode_refs(r: &mut Reader<'_>) -> Result<SetrRefs> {
+        Ok(SetrRefs {
+            union: BlobRef::decode(r)?,
+            intersection: BlobRef::decode(r)?,
+        })
     }
 
-    /// Attaches a tracer: node visits (and the solvers' prune decisions,
-    /// which go through [`TraversalStats`]) emit trace events.
-    pub fn set_tracer(&mut self, tracer: wnsk_obs::Tracer) {
-        self.stats.set_tracer(tracer);
+    /// Theorem 1's set bound.
+    fn text_bound(&self, query: &SpatialKeywordQuery) -> f64 {
+        query
+            .sim
+            .node_upper(&self.union, &self.intersection, &query.doc)
     }
 
-    /// World bounds the tree was built with.
-    pub fn world(&self) -> &WorldBounds {
-        &self.meta.world
+    fn root(_: &BlobStore, _: Rect, _: impl FnOnce() -> Result<Self>) -> Result<()> {
+        Ok(())
     }
 
-    /// Number of indexed objects.
-    pub fn len(&self) -> u64 {
-        self.meta.n_objects
-    }
+    fn encode_root(_: &(), _: &mut Writer) {}
 
-    /// `true` when the tree indexes no objects.
-    pub fn is_empty(&self) -> bool {
-        self.meta.n_objects == 0
-    }
-
-    /// Tree height (1 = root is a leaf).
-    pub fn height(&self) -> u32 {
-        self.meta.height
-    }
-
-    /// Blob reference of the root node (the entry point for external
-    /// traversals such as the parallel counting rank).
-    pub fn root(&self) -> BlobRef {
-        self.meta.root
-    }
-
-    /// Reads and decodes a node (every traversal path funnels through
-    /// here, so this is also where node visits are counted). Public for
-    /// external traversals and aggregate verification.
-    pub fn read_node(&self, node: BlobRef) -> Result<SetrNode> {
-        self.stats.visit_traced(node.first_page.0);
-        let bytes = self.blobs.read(node)?;
-        SetrNode::decode(&bytes)
-    }
-
-    /// Reads a keyword-set payload (object doc or node union/intersection).
-    pub fn read_keyword_set(&self, blob: BlobRef) -> Result<KeywordSet> {
-        let bytes = self.blobs.read(blob)?;
-        payload::decode_keyword_set(&bytes)
+    fn decode_root(_: &mut Reader<'_>) -> Result<()> {
+        Ok(())
     }
 }

@@ -1,4 +1,4 @@
-//! A common interface over the incremental best-first searches of both
+//! A common interface over the incremental best-first searches of the
 //! trees, letting the why-not algorithms run rank scans generically.
 
 use crate::model::ObjectId;
@@ -6,22 +6,10 @@ use wnsk_storage::Result;
 
 /// A stream of objects in non-increasing ranking-score order.
 ///
-/// Implemented by [`crate::TopKSearch`] (SetR-tree) and
-/// [`crate::kcr::KcrTopKSearch`] (KcR-tree).
+/// Implemented by the best-first scan of every tree,
+/// [`crate::tree::BestFirst`].
 pub trait ObjectStream {
     /// Pulls the next-best object, or `None` when the dataset is
     /// exhausted.
     fn next_object(&mut self) -> Result<Option<(ObjectId, f64)>>;
-}
-
-impl ObjectStream for crate::setr::TopKSearch<'_> {
-    fn next_object(&mut self) -> Result<Option<(ObjectId, f64)>> {
-        crate::setr::TopKSearch::next_object(self)
-    }
-}
-
-impl ObjectStream for crate::kcr::KcrTopKSearch<'_> {
-    fn next_object(&mut self) -> Result<Option<(ObjectId, f64)>> {
-        crate::kcr::KcrTopKSearch::next_object(self)
-    }
 }

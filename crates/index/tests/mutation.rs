@@ -154,7 +154,7 @@ fn check_setr(tree: &SetRTree, node: BlobRef, level: u32) -> SetrAgg {
             let n = entries.len();
             for e in &entries {
                 mbr = mbr.union(&Rect::point(e.loc));
-                let doc = tree.read_keyword_set(e.doc).unwrap();
+                let doc = tree.read_doc(e.doc).unwrap();
                 union = union.union(&doc);
                 inter = Some(match inter {
                     None => doc,
@@ -183,10 +183,12 @@ fn check_setr(tree: &SetRTree, node: BlobRef, level: u32) -> SetrAgg {
                 let sub = check_setr(tree, e.child, level - 1);
                 assert!(sub.n > 0, "child subtrees never go empty");
                 assert_eq!(e.mbr, sub.mbr, "stored MBR drifted from the subtree");
-                let stored_union = tree.read_keyword_set(e.union).unwrap();
-                let stored_inter = tree.read_keyword_set(e.intersection).unwrap();
-                assert!(stored_union == sub.union, "stored union set drifted");
-                assert!(stored_inter == sub.inter, "stored intersection set drifted");
+                let stored = tree.read_summary(e).unwrap();
+                assert!(stored.union == sub.union, "stored union set drifted");
+                assert!(
+                    stored.intersection == sub.inter,
+                    "stored intersection set drifted"
+                );
                 mbr = mbr.union(&sub.mbr);
                 union = union.union(&sub.union);
                 inter = Some(match inter {
@@ -245,8 +247,8 @@ fn check_kcr(tree: &KcrTree, node: BlobRef, level: u32) -> KcrAgg {
                 let sub = check_kcr(tree, e.child, level - 1);
                 assert!(sub.cnt > 0, "child subtrees never go empty");
                 assert_eq!(e.mbr, sub.mbr, "stored MBR drifted from the subtree");
-                assert_eq!(e.cnt, sub.cnt, "stored cnt drifted from the subtree");
-                let stored_kcm = tree.read_kcm(e.kcm).unwrap();
+                assert_eq!(e.refs.cnt, sub.cnt, "stored cnt drifted from the subtree");
+                let stored_kcm = tree.read_kcm(e.refs.kcm).unwrap();
                 assert!(stored_kcm == sub.kcm, "stored kcm drifted from the subtree");
                 mbr = mbr.union(&sub.mbr);
                 cnt += sub.cnt;

@@ -469,7 +469,12 @@ impl Server {
                 let Ok(stream) = stream else { continue };
                 let conn_shared = Arc::clone(&accept_shared);
                 let handle = std::thread::spawn(move || conn_shared.handle_connection(stream));
-                accept_connections.lock().unwrap().push(handle);
+                let mut connections = accept_connections.lock().unwrap();
+                // Forget connections that already closed, so a
+                // long-lived server keeps one handle per live client
+                // rather than one per client ever accepted.
+                connections.retain(|h| !h.is_finished());
+                connections.push(handle);
             }
         });
 
@@ -482,5 +487,32 @@ impl Server {
             admin,
             shard_admins,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader};
+
+    #[test]
+    fn closed_connections_do_not_accumulate_handles() {
+        let data = wnsk_data::generate(&wnsk_data::DatasetSpec::tiny(7));
+        let engine = WhyNotEngine::build_in_memory(data.dataset).unwrap();
+        let server = Server::start(engine, ServerConfig::default()).unwrap();
+        for _ in 0..200 {
+            // One full round trip, then hang up, as a short-lived
+            // client does.
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            writeln!(stream, "{}", crate::client::stats_line()).unwrap();
+            let mut reply = String::new();
+            BufReader::new(&stream).read_line(&mut reply).unwrap();
+            assert!(reply.ends_with('\n'), "no stats reply: {reply:?}");
+        }
+        // The acceptor prunes on each accept; only connections whose
+        // thread had not yet seen EOF can remain.
+        let held = server.connections.lock().unwrap().len();
+        assert!(held <= 8, "{held} connection handles held after 200 closed");
+        server.shutdown();
     }
 }

@@ -16,7 +16,6 @@
 //!   [`ProjectedSet`]) that rewrite the hot set-intersection loops as
 //!   AND + popcount while staying bit-identical to the merge scans
 //!   (see `docs/KERNELS.md`).
-#![cfg_attr(feature = "wide", feature(portable_simd))]
 
 mod kcm;
 mod keyword_set;

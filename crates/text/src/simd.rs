@@ -122,11 +122,9 @@ impl BlockSet {
         self.words.iter().map(|w| w.count_ones()).sum()
     }
 
-    /// `|self ∩ other|` — the kernel primitive.
-    ///
-    /// Default build: an unrolled `u64` AND + `count_ones` chain (LLVM
-    /// lowers `count_ones` to the `popcnt` instruction where available).
-    #[cfg(not(feature = "wide"))]
+    /// `|self ∩ other|` — the kernel primitive: an unrolled `u64` AND +
+    /// `count_ones` chain (LLVM lowers `count_ones` to the `popcnt`
+    /// instruction where available).
     #[inline]
     pub fn and_count(&self, other: &BlockSet) -> u32 {
         let mut n = 0u32;
@@ -134,18 +132,6 @@ impl BlockSet {
             n += (self.words[i] & other.words[i]).count_ones();
         }
         n
-    }
-
-    /// `|self ∩ other|` — `std::simd` wide path (nightly-only `wide`
-    /// feature): one vector AND plus a lane-wise popcount reduction.
-    #[cfg(feature = "wide")]
-    #[inline]
-    pub fn and_count(&self, other: &BlockSet) -> u32 {
-        use std::simd::num::SimdUint;
-        use std::simd::Simd;
-        let a: Simd<u64, BLOCK_WORDS> = Simd::from_array(self.words);
-        let b: Simd<u64, BLOCK_WORDS> = Simd::from_array(other.words);
-        (a & b).count_ones().reduce_sum() as u32
     }
 
     /// Iterates set slots in ascending order (bit-scan per word), which
