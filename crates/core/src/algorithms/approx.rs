@@ -3,13 +3,14 @@
 //! return the best refined query among them (plus the always-valid basic
 //! refinement, so the answer still contains every missing object).
 
-use crate::algorithms::basic::{self, CandidateSource};
+use crate::algorithms::basic;
 use crate::algorithms::kcr;
 use crate::algorithms::{AdvancedOptions, KcrOptions};
 use crate::budget::{AnswerQuality, DegradeReason, QueryBudget};
 use crate::enumeration::CandidateEnumerator;
 use crate::error::{Result, WhyNotError};
 use crate::question::{AlgoStats, RefinedQuery, WhyNotAnswer, WhyNotContext, WhyNotQuestion};
+use crate::rank::min_score;
 use std::time::Instant;
 use wnsk_index::{Dataset, KcrTree, SetRTree};
 
@@ -98,11 +99,7 @@ pub(crate) fn degraded_fallback(
             if over() {
                 break;
             }
-            let targets = ctx.missing_targets(&cand.doc);
-            let min_score = targets
-                .iter()
-                .map(|&(_, s)| s)
-                .fold(f64::INFINITY, f64::min);
+            let min_score = min_score(&ctx.missing_targets(&cand.doc));
             let q_s = ctx.query.with_doc(cand.doc.clone());
             // Exact brute-force R(M, q_S): no page reads, only CPU.
             let rank = 1 + dataset
@@ -145,7 +142,7 @@ pub fn answer_approx_basic(
         tree,
         question,
         AdvancedOptions::none(),
-        CandidateSource::Sample(sample),
+        Some(sample),
     )
 }
 
@@ -159,13 +156,7 @@ pub fn answer_approx_advanced(
 ) -> Result<WhyNotAnswer> {
     question.validate(dataset)?;
     let sample = draw_sample(dataset, question, brute_initial_rank(dataset, question), t)?;
-    basic::run(
-        dataset,
-        tree,
-        question,
-        opts,
-        CandidateSource::Sample(sample),
-    )
+    basic::run(dataset, tree, question, opts, Some(sample))
 }
 
 /// Approximate **KcRBased** over a sample of `t` candidates.

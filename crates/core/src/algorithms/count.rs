@@ -21,10 +21,11 @@
 
 use crate::budget::BudgetGuard;
 use crate::error::Result;
-use crate::rank::SetRankOutcome;
+use crate::rank::{min_score, rank_of_set, SetRankOutcome};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use wnsk_exec::{ExecMetrics, Executor};
+use wnsk_index::tree::BestFirst;
 use wnsk_index::{
     AggTree, Aggregate, LeafSimKernel, ObjectId, ScoredChildren, SpatialKeywordQuery,
 };
@@ -158,10 +159,7 @@ pub(crate) fn parallel_rank<A: Aggregate>(
     if tree.is_empty() {
         return Ok(SetRankOutcome::Exact { rank: 1 });
     }
-    let min_score = targets
-        .iter()
-        .map(|&(_, s)| s)
-        .fold(f64::INFINITY, f64::min);
+    let min_score = min_score(targets);
     // The initial-rank scan runs against the *initial* query, before a
     // question universe exists — it stays on the scalar path under both
     // kernels (one scan per question; nothing to amortise).
@@ -181,4 +179,33 @@ pub(crate) fn parallel_rank<A: Aggregate>(
     Ok(SetRankOutcome::Exact {
         rank: scan.count() + 1,
     })
+}
+
+/// `R(M, q)` of an initial query over `tree`: the best-first rank scan
+/// on one worker, the parallel dominator count on several — the same
+/// rank either way (ties are never dominators), only the wall time
+/// differs. `until_found` keeps the scan pulling until every missing
+/// object is retrieved, as BS does (§IV-B).
+pub(crate) fn tree_rank<A: Aggregate>(
+    tree: &AggTree<A>,
+    exec: &Executor,
+    metrics: &ExecMetrics,
+    guard: &BudgetGuard,
+    query: &SpatialKeywordQuery,
+    targets: &[(ObjectId, f64)],
+    until_found: bool,
+) -> Result<SetRankOutcome> {
+    if exec.threads() > 1 {
+        return parallel_rank(tree, exec, metrics, query, targets, guard);
+    }
+    let mut scan = BestFirst::new(tree, query.clone());
+    rank_of_set(
+        &mut scan,
+        targets,
+        None,
+        until_found,
+        Some(guard),
+        None,
+        None,
+    )
 }

@@ -1,4 +1,6 @@
-//! The **KcRBased** bound-and-prune algorithm (§V, Algorithms 3 & 4).
+//! The **KcRBased** bound-and-prune algorithm (§V, Algorithms 3 & 4),
+//! as a [`Verifier`] of the shared Algorithm-4 driver (see
+//! [`crate::algorithms::driver`]).
 //!
 //! One traversal of the KcR-tree scores a whole batch `CK` of candidate
 //! keyword sets at once. For each candidate `S` the traversal maintains a
@@ -20,36 +22,33 @@
 //! frontier sums only tighten; keeping explicit frontier sums makes the
 //! implementation correct regardless.)
 //!
-//! Algorithm 4 drives the batches in ascending edit distance and stops as
+//! The driver walks the layers in ascending edit distance and stops as
 //! soon as the next layer's keyword penalty alone can no longer beat
-//! `p_c`. Each batch's traversal is an independent subtree-expansion
-//! unit: the [`wnsk_exec`] work-stealing pool hands batches to workers,
-//! which prune against the shared atomic bound mid-flight and keep
+//! `p_c` (Algorithm 4); this verifier splits each layer into batches.
+//! With one worker each batch is one breadth-first traversal; with
+//! several, each frontier node of a batch is a [`wnsk_exec`] pool task,
+//! workers prune against the shared atomic bound mid-flight and keep
 //! per-worker local bests that merge at the layer's sequence barrier —
-//! so MaxDom/MinDom tightening stays deterministic and the refined
-//! query is bit-identical to the single-threaded run (Fig. 10's
-//! parallel variant; see [`crate::algorithms::shared`]).
+//! so MaxDom/MinDom tightening stays deterministic and the refined query
+//! is bit-identical to the single-threaded run (Fig. 10's parallel
+//! variant; see [`crate::algorithms::shared`]).
 
-use crate::algorithms::approx::degraded_fallback;
-use crate::algorithms::basic::layer_sample;
 use crate::algorithms::count;
-use crate::algorithms::shared::{BestEntry, BestKey, LocalBest, SharedBest};
-use crate::budget::{AnswerQuality, BudgetGuard, QueryBudget};
-use crate::enumeration::{Candidate, CandidateEnumerator};
-use crate::error::Result;
-use crate::question::{AlgoStats, RefinedQuery, WhyNotAnswer, WhyNotContext, WhyNotQuestion};
+use crate::algorithms::driver::{self, bump, Layer, Plan, Verifier};
+use crate::algorithms::shared::LocalBest;
+use crate::budget::{BudgetGuard, QueryBudget};
+use crate::enumeration::Candidate;
+use crate::error::{Result, WhyNotError};
+use crate::question::{WhyNotAnswer, WhyNotContext, WhyNotQuestion};
 use crate::rank::SetRankOutcome;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use wnsk_exec::{ExecMetrics, Executor, SharedBound, TaskContext, WorkerHandle};
-use wnsk_index::kcr::{
-    max_dom_counts, min_dom_counts, tau_lower, tau_upper, KcrTopKSearch, PreparedNode,
-};
-use wnsk_index::{st_score, Dataset, KcrNode, KcrTree, NodeSummary, ObjectId};
-use wnsk_obs::{Hist, SpanId, TracePayload, Tracer};
-use wnsk_storage::BlobRef;
+use wnsk_exec::{ExecMetrics, Executor, TaskContext, WorkerHandle};
+use wnsk_index::kcr::{max_dom_counts, min_dom_counts, tau_lower, tau_upper, PreparedNode};
+use wnsk_index::{st_score, Dataset, KcrNode, KcrTree, NodeSummary, ObjectId, SpatialKeywordQuery};
+use wnsk_obs::Tracer;
+use wnsk_storage::{BlobRef, BufferPool};
 use wnsk_text::{Kernel, KeywordSet, ProjectedSet};
 
 /// Options for the KcR-based solver.
@@ -100,13 +99,6 @@ impl Default for KcrOptions {
     }
 }
 
-#[derive(Default)]
-struct SharedStats {
-    candidates_total: AtomicU64,
-    pruned_by_bound: AtomicU64,
-    nodes_expanded: AtomicU64,
-}
-
 /// **KcRBased**: Algorithm 4 over the full candidate space.
 pub fn answer_kcr(
     dataset: &Dataset,
@@ -124,495 +116,523 @@ pub(crate) fn run(
     opts: KcrOptions,
     sample: Option<Vec<Candidate>>,
 ) -> Result<WhyNotAnswer> {
-    // The tracer lives on the tree (next to the traversal counters it
-    // must stay in lockstep with); the query span wraps the whole run
-    // so every path — including budget degradation and I/O errors —
-    // leaves the scope clean.
-    let tracer = tree.traversal().tracer().clone();
-    let query_span = tracer.begin("kcr.query");
-    tracer.set_scope(query_span.id());
-    let result = run_inner(
-        dataset,
-        tree,
-        question,
-        opts,
+    let plan = Plan {
+        threads: opts.threads,
+        kernel: opts.kernel,
+        budget: opts.budget,
+        ordered: true,
+        rank_hint: opts.initial_rank_hint,
+        inject_rank_bug: opts.inject_rank_bug,
         sample,
-        &tracer,
-        query_span.id(),
-    );
-    tracer.clear_scope();
-    tracer.end(query_span);
-    result
+    };
+    let kcr = Kcr {
+        tree,
+        batch_size: opts.batch_size.max(1),
+    };
+    driver::drive(&kcr, dataset, question, plan)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_inner(
-    dataset: &Dataset,
-    tree: &KcrTree,
-    question: &WhyNotQuestion,
-    opts: KcrOptions,
-    sample: Option<Vec<Candidate>>,
-    tracer: &Tracer,
-    query: SpanId,
-) -> Result<WhyNotAnswer> {
-    question.validate(dataset)?;
-    let start = Instant::now();
-    let io_before = tree.pool().stats();
-    let guard = BudgetGuard::new(opts.budget, Arc::clone(tree.pool()));
-
-    // Work-stealing pool, one per query: reused for the initial rank and
-    // every verification layer.
-    let exec = Executor::new(opts.threads);
-    let mut metrics = ExecMetrics::new(exec.threads());
-    metrics.set_tracer(tracer.clone());
-    let task_hist = Hist::new();
-    metrics.set_task_hist(task_hist.clone());
-
-    // Algorithm 4 line 1: determine R(M, q). With several workers the
-    // rank is computed as a parallel dominator count over subtree tasks
-    // (bit-identical to the scan — see [`crate::algorithms::count`]).
-    let initial_targets: Vec<(ObjectId, f64)> = question
-        .missing
-        .iter()
-        .map(|&id| (id, dataset.score(dataset.object(id), &question.query)))
-        .collect();
-    let rank_span = tracer.begin("phase.initial_rank");
-    tracer.set_scope(rank_span.id());
-    let outcome = if let Some(rank) = opts.initial_rank_hint {
-        SetRankOutcome::Exact { rank }
-    } else if exec.threads() > 1 {
-        count::parallel_rank(
-            tree,
-            &exec,
-            &metrics,
-            &question.query,
-            &initial_targets,
-            &guard,
-        )?
-    } else {
-        let mut scan = KcrTopKSearch::new(tree, question.query.clone());
-        let outcome =
-            crate::rank::rank_of_set(&mut scan, &initial_targets, None, false, Some(&guard))?;
-        drop(scan);
-        outcome
-    };
-    tracer.set_scope(query);
-    tracer.end(rank_span);
-    let phase_initial_rank = start.elapsed();
-    let initial_rank = match outcome {
-        SetRankOutcome::Exact { rank } => rank,
-        _ => {
-            let reason = guard.breached().expect("scan only stops early on breach");
-            let stats = AlgoStats {
-                wall: start.elapsed(),
-                io: tree.pool().stats().since(&io_before).physical_reads,
-                phase_initial_rank,
-                ..AlgoStats::default()
-            };
-            return degraded_fallback(dataset, question, None, None, reason, &opts.budget, stats);
-        }
-    };
-    // The fuzz harness's deliberately injected off-by-one (see
-    // `KcrOptions::inject_rank_bug`): every downstream penalty reads the
-    // perturbed Δk normaliser, so the BS oracle catches it.
-    let initial_rank = if opts.inject_rank_bug {
-        initial_rank + 1
-    } else {
-        initial_rank
-    };
-    tracer.event(
-        "kcr.initial_rank",
-        TracePayload::RankConverged {
-            rank: initial_rank.min(u32::MAX as usize) as u32,
-        },
-    );
-
-    let mut ctx = WhyNotContext::new(dataset, question, initial_rank)?;
-    if opts.kernel == Kernel::Scalar {
-        // A/B knob: dropping the kernel state sends every downstream
-        // similarity and dominator bound through the merge-scan path.
-        ctx.kernel = None;
-    }
-    let enumerator = CandidateEnumerator::new(&ctx);
-
-    // Line 2: the basic refined query initialises the best.
-    let best = SharedBest::new(ctx.baseline());
-    let stats = SharedStats::default();
-
-    // Layers are generated lazily for the full candidate space so a
-    // budget breach skips the exponentially larger deep layers entirely.
-    let mut phase_enumeration = Duration::ZERO;
-    let mut sample_size = None;
-    let ready_layers: Option<Vec<(usize, Vec<Candidate>)>> = match sample {
-        None => None,
-        Some(sample) => {
-            sample_size = Some(sample.len());
-            let t = Instant::now();
-            let layers = layer_sample(sample);
-            phase_enumeration += t.elapsed();
-            Some(layers)
-        }
-    };
-    let depths: Vec<usize> = match &ready_layers {
-        None => (1..=enumerator.max_edit_distance()).collect(),
-        Some(layers) => layers.iter().map(|&(d, _)| d).collect(),
-    };
-    let mut ready_layers = ready_layers.map(|l| l.into_iter());
-
-    // Global candidate sequence numbers (baseline = 0), mirroring
-    // AdvancedBS.
-    let mut next_seq: u64 = 1;
-
-    let verification_started = Instant::now();
-    for d in depths {
-        if guard.check().is_some() {
-            break;
-        }
-        let layer: Vec<Candidate> = match &mut ready_layers {
-            Some(iter) => iter.next().expect("depths mirror the ready layers").1,
-            None => {
-                let t = Instant::now();
-                let layer = enumerator.layer(d, true);
-                phase_enumeration += t.elapsed();
-                layer
-            }
-        };
-        // Line 4: the next batch's keyword penalty alone disqualifies
-        // it. `best` is fully merged here (sequence barrier), so the
-        // termination point is identical for every thread count.
-        if ctx.penalty.keyword_penalty(d) >= best.penalty() {
-            stats
-                .pruned_by_bound
-                .fetch_add(layer.len() as u64, Ordering::Relaxed);
-            break;
-        }
-        stats
-            .candidates_total
-            .fetch_add(layer.len() as u64, Ordering::Relaxed);
-        // One span per verification layer; worker-side events (prunes,
-        // steals, pool reads) attach to it through the global scope,
-        // which is only moved here, between the layer barriers.
-        let layer_span = tracer.begin("kcr.layer");
-        tracer.set_scope(layer_span.id());
-        let base_seq = next_seq;
-        next_seq += layer.len() as u64;
-        // Split the layer into benefit-ordered batches, each carrying
-        // the sequence number of its first candidate. The partition is
-        // identical for every thread count — parallelism comes from the
-        // per-node subtree tasks below, not from slicing batches thinner
-        // (which would duplicate per-batch root traversals).
-        let batch_size = opts.batch_size.max(1);
-        let mut tasks: Vec<(u64, Vec<Candidate>)> = Vec::new();
-        let mut rest = layer;
-        let mut seq0 = base_seq;
-        while !rest.is_empty() {
-            let take = batch_size.min(rest.len());
-            let tail = rest.split_off(take);
-            let taken = std::mem::replace(&mut rest, tail);
-            tasks.push((seq0, taken));
-            seq0 += take as u64;
-        }
-        let locals = if exec.threads() > 1 {
-            // Dynamic mode: each batch seeds a shared traversal whose
-            // frontier *nodes* are independent pool tasks — one
-            // expensive subtree no longer serialises its whole batch,
-            // and idle workers steal node expansions mid-batch. The
-            // per-candidate rank bracket lives in a packed atomic;
-            // every observed state is a valid frontier, so pruning and
-            // offers stay exact (see [`ParCand`]).
-            exec.run_dynamic(
-                tasks
-                    .into_iter()
-                    .map(|(seq0, batch)| KcrTask::Batch(seq0, batch))
-                    .collect(),
-                &metrics,
-                || guard.check().is_some(),
-                |_worker| LocalBest::new(),
-                |local, task, tctx| match task {
-                    KcrTask::Batch(seq0, batch) => {
-                        launch_batch(tree, &ctx, seq0, batch, best.bound(), local, &stats, tctx)
-                    }
-                    KcrTask::Node(scan, node, contrib) => expand_batch_node(
-                        tree,
-                        &ctx,
-                        &scan,
-                        node,
-                        &contrib,
-                        best.bound(),
-                        local,
-                        &stats,
-                        tctx,
-                    ),
-                },
-            )?
-        } else {
-            exec.run(
-                tasks,
-                &metrics,
-                || guard.check().is_some(),
-                |_worker| LocalBest::new(),
-                |local, (seq0, batch), handle| {
-                    // Batches run in rough benefit order pool-wide; a later
-                    // batch whose whole layer is already beaten is pruned by
-                    // the root bounds almost immediately.
-                    bound_and_prune(
-                        tree,
-                        &ctx,
-                        &batch,
-                        seq0,
-                        best.bound(),
-                        local,
-                        &stats,
-                        &guard,
-                        handle,
-                    )
-                },
-            )?
-        };
-        // Sequence barrier: merge per-worker bests deterministically.
-        for local in locals {
-            best.merge(local);
-        }
-        tracer.set_scope(query);
-        tracer.end(layer_span);
-        if guard.breached().is_some() {
-            break;
-        }
-    }
-
-    let refined = best.into_inner();
-    let totals = metrics.totals();
-    let stats = AlgoStats {
-        wall: start.elapsed(),
-        io: tree.pool().stats().since(&io_before).physical_reads,
-        candidates_total: stats.candidates_total.into_inner(),
-        pruned_by_bound: stats.pruned_by_bound.into_inner(),
-        nodes_expanded: stats.nodes_expanded.into_inner(),
-        tasks_stolen: totals.stolen,
-        bound_refreshes: totals.bound_refreshes,
-        prune_hits: totals.prune_hits,
-        workers: metrics.per_worker(),
-        initial_rank: initial_rank as u64,
-        phase_initial_rank,
-        phase_enumeration,
-        phase_verification: verification_started.elapsed(),
-        task_latency: task_hist.snapshot(),
-        ..AlgoStats::default()
-    };
-    if let Some(reason) = guard.breached() {
-        return degraded_fallback(
-            dataset,
-            question,
-            Some(initial_rank),
-            Some(refined),
-            reason,
-            &opts.budget,
-            stats,
-        );
-    }
-    let quality = match sample_size {
-        Some(sample_size) => AnswerQuality::Approximate { sample_size },
-        None => AnswerQuality::Exact,
-    };
-    Ok(WhyNotAnswer {
-        refined,
-        stats,
-        quality,
-    })
+/// The KcRBased verifier.
+struct Kcr<'a> {
+    tree: &'a KcrTree,
+    batch_size: usize,
 }
 
-/// Per-candidate traversal state.
-struct CandState {
+/// What a candidate carries through a batch traversal, whichever way
+/// the traversal runs.
+struct Profile {
+    /// Global candidate sequence number (lexicographic merge tiebreak).
+    seq: u64,
     doc: KeywordSet,
     /// `doc` projected onto the question universe (bitset kernel only;
     /// candidates are subsets of the universe, so this is lossless).
     bits: Option<ProjectedSet>,
     edit_distance: usize,
-    /// Global candidate sequence number (lexicographic merge tiebreak).
-    seq: u64,
     /// `TSim(m_i, S)` per missing object.
     m_tsims: Vec<f64>,
     /// `ST(m_i, q_S)` per missing object (for exact leaf dominance).
     m_scores: Vec<f64>,
+}
+
+impl Profile {
+    fn new(ctx: &WhyNotContext<'_>, seq: u64, cand: Candidate) -> Self {
+        let m_tsims: Vec<f64> = ctx
+            .missing
+            .iter()
+            .map(|m| ctx.query.sim.similarity(&m.doc, &cand.doc))
+            .collect();
+        let m_scores = ctx
+            .missing
+            .iter()
+            .zip(&m_tsims)
+            .map(|(m, &tsim)| st_score(ctx.query.alpha, m.sdist, tsim))
+            .collect();
+        Profile {
+            seq,
+            bits: ctx.kernel.as_ref().map(|k| k.project(&cand.doc)),
+            doc: cand.doc,
+            edit_distance: cand.edit_distance,
+            m_tsims,
+            m_scores,
+        }
+    }
+}
+
+/// One candidate of a serial batch traversal.
+struct CandState {
+    p: Profile,
     rank_hi: i64,
     rank_lo: i64,
     active: bool,
 }
 
-/// Builds a [`PreparedNode`] matching the context's kernel: with the
-/// packed per-slot counts when the bitset kernel is active.
-fn prepare_node(summary: &NodeSummary, ctx: &WhyNotContext<'_>) -> PreparedNode {
-    match ctx.kernel.as_ref() {
-        Some(k) => PreparedNode::with_projection(summary, k.universe()),
-        None => PreparedNode::new(summary),
+/// The profiles of a serial batch's still-active candidates.
+fn live(cands: &[CandState]) -> Vec<Option<&Profile>> {
+    cands.iter().map(|c| c.active.then_some(&c.p)).collect()
+}
+
+/// A frontier node with its per-candidate `(MaxDom, MinDom)`
+/// contribution to the frontier sums.
+type Frontier = (BlobRef, Vec<(u32, u32)>);
+
+/// One candidate's `(ΣMaxDom, ΣMinDom)` over a node's children.
+type Sums = (i64, i64);
+
+/// One candidate of a parallel batch traversal. The rank bracket lives
+/// in one packed atomic — `(rank_hi << 32) | rank_lo` — so a node task
+/// replaces a node's contribution by its children's with a *single*
+/// `fetch_add` and both fields move together.
+///
+/// Why every observed value is trustworthy: a child's delta is only
+/// applied after its parent's (tasks apply their delta *before*
+/// spawning children, and a same-atomic happens-before edge orders the
+/// two `fetch_add`s), so every prefix of the atomic's coherence order
+/// is a prefix-closed set of expansions — i.e. the sums of a *valid
+/// frontier*. A frontier partitions the objects, so its `hi` sum is ≥
+/// the exact dominator count and its `lo` sum is ≤ it; both fields stay
+/// in `u32` range, which also means the packed mod-2⁶⁴ arithmetic never
+/// corrupts across the field boundary. Hence: every offered `pn_hi` is
+/// achievable, every prune (`pn_lo > bound`) is sound, and a transient
+/// `hi == lo` *is* the exact rank (per-node `hi ≥ lo`, so equal sums
+/// force every frontier node exact — retiring there is Theorem 2).
+struct ParCand {
+    p: Profile,
+    /// Packed `(rank_hi << 32) | rank_lo`, both including the `1 +`.
+    bounds: AtomicU64,
+    active: AtomicBool,
+}
+
+/// The shared state of one batch's traversal; node tasks hold it by
+/// [`Arc`] and apply their bound deltas concurrently.
+struct BatchScan {
+    cands: Vec<ParCand>,
+}
+
+/// A task of the dynamic KcR layer execution: a whole candidate batch
+/// (roots its traversal) or one frontier node of an in-flight batch,
+/// carrying that node's per-candidate `(MaxDom, MinDom)` contribution.
+enum KcrTask {
+    Batch(Vec<(u64, Candidate)>),
+    Node(Arc<BatchScan>, BlobRef, Vec<(u32, u32)>),
+}
+
+fn pack_delta(dhi: i64, dlo: i64) -> u64 {
+    (dhi << 32).wrapping_add(dlo) as u64
+}
+
+impl Verifier for Kcr<'_> {
+    const QUERY_SPAN: &'static str = "kcr.query";
+    const LAYER_SPAN: &'static str = "kcr.layer";
+    const RANK_EVENT: Option<&'static str> = Some("kcr.initial_rank");
+
+    fn tracer(&self) -> &Tracer {
+        self.tree.traversal().tracer()
+    }
+
+    fn pool(&self) -> Option<&Arc<BufferPool>> {
+        Some(self.tree.pool())
+    }
+
+    fn initial_rank(
+        &self,
+        exec: &Executor,
+        metrics: &ExecMetrics,
+        guard: &BudgetGuard,
+        query: &SpatialKeywordQuery,
+        targets: &[(ObjectId, f64)],
+    ) -> Result<SetRankOutcome> {
+        count::tree_rank(self.tree, exec, metrics, guard, query, targets, false)
+    }
+
+    fn verify(&self, l: &Layer<'_, '_>, tasks: Vec<(u64, Candidate)>) -> Result<Vec<LocalBest>> {
+        bump(&l.stats.candidates_total, tasks.len() as u64);
+        // Benefit-ordered batches (§V-D), so early batches lower `p_c`
+        // before later ones pay for root-level bound evaluations. The
+        // partition is identical for every thread count — parallelism
+        // comes from the per-node subtree tasks, not from slicing batches
+        // thinner (which would duplicate per-batch root traversals).
+        let mut batches: Vec<Vec<(u64, Candidate)>> = Vec::new();
+        let mut tasks = tasks.into_iter().peekable();
+        while tasks.peek().is_some() {
+            batches.push(tasks.by_ref().take(self.batch_size).collect());
+        }
+        if l.exec.threads() > 1 {
+            // Dynamic mode: each batch seeds a shared traversal whose
+            // frontier *nodes* are independent pool tasks — one expensive
+            // subtree no longer serialises its whole batch, and idle
+            // workers steal node expansions mid-batch (see [`ParCand`]).
+            l.exec.run_dynamic(
+                batches.into_iter().map(KcrTask::Batch).collect(),
+                l.metrics,
+                || l.guard.check().is_some(),
+                |_| LocalBest::new(),
+                |local, task, tctx| match task {
+                    KcrTask::Batch(batch) => self.launch_batch(l, batch, local, tctx),
+                    KcrTask::Node(scan, node, contrib) => {
+                        self.expand_batch_node(l, &scan, node, &contrib, local, tctx)
+                    }
+                },
+            )
+        } else {
+            l.exec.run(
+                batches,
+                l.metrics,
+                || l.guard.check().is_some(),
+                |_| LocalBest::new(),
+                |local, batch, handle| self.bound_and_prune(l, batch, local, handle),
+            )
+        }
     }
 }
 
-struct QueuedNode {
-    node: BlobRef,
-    /// Per-candidate `(MaxDom, MinDom)` contribution of this node to the
-    /// frontier sums.
-    contrib: Vec<(u32, u32)>,
-}
-
-/// Algorithm 3: finds the best refined query among `candidates` in one
-/// KcR-tree traversal, folding improvements into the worker's local
-/// best and publishing achieved penalties into the shared bound.
-/// `seq0` is the global sequence number of `candidates[0]` (the batch
-/// is contiguous in enumeration order).
-#[allow(clippy::too_many_arguments)]
-fn bound_and_prune(
-    tree: &KcrTree,
-    ctx: &WhyNotContext<'_>,
-    candidates: &[Candidate],
-    seq0: u64,
-    bound: &SharedBound,
-    local: &mut LocalBest,
-    stats: &SharedStats,
-    guard: &BudgetGuard,
-    handle: &WorkerHandle<'_>,
-) -> Result<()> {
-    if candidates.is_empty() {
-        return Ok(());
-    }
-    let alpha = ctx.query.alpha;
-    let world = tree.world();
-
-    let mut cands: Vec<CandState> = candidates
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let m_tsims: Vec<f64> = ctx
-                .missing
-                .iter()
-                .map(|m| ctx.query.sim.similarity(&m.doc, &c.doc))
-                .collect();
-            let m_scores: Vec<f64> = ctx
-                .missing
-                .iter()
-                .zip(&m_tsims)
-                .map(|(m, &tsim)| st_score(alpha, m.sdist, tsim))
-                .collect();
-            CandState {
-                bits: ctx.kernel.as_ref().map(|k| k.project(&c.doc)),
-                doc: c.doc.clone(),
-                edit_distance: c.edit_distance,
-                seq: seq0 + i as u64,
-                m_tsims,
-                m_scores,
+impl Kcr<'_> {
+    /// Algorithm 3: finds the best refined query among one batch in one
+    /// breadth-first KcR-tree traversal, folding improvements into the
+    /// worker's local best and publishing achieved penalties into the
+    /// shared bound.
+    fn bound_and_prune(
+        &self,
+        l: &Layer<'_, '_>,
+        batch: Vec<(u64, Candidate)>,
+        local: &mut LocalBest,
+        handle: &WorkerHandle<'_>,
+    ) -> Result<()> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let mut cands: Vec<CandState> = batch
+            .into_iter()
+            .map(|(seq, c)| CandState {
+                p: Profile::new(l.ctx, seq, c),
                 rank_hi: 1,
                 rank_lo: 1,
                 active: true,
-            }
-        })
-        .collect();
+            })
+            .collect();
 
-    // Lines 2–6: initial bounds from the root summary.
-    let root_summary = tree.root_summary().map_err(crate::WhyNotError::Storage)?;
-    let root_contrib = node_contrib(&root_summary, ctx, &mut cands, world);
-    for (cand, &(hi, lo)) in cands.iter_mut().zip(&root_contrib) {
-        cand.rank_hi += hi as i64;
-        cand.rank_lo += lo as i64;
-    }
-    let traversal = tree.traversal();
-    refresh_candidates(ctx, &mut cands, bound, local, stats, traversal, handle);
-    if !cands.iter().any(|c| c.active) {
-        return Ok(());
-    }
-
-    let mut queue: VecDeque<QueuedNode> = VecDeque::new();
-    queue.push_back(QueuedNode {
-        node: tree.root(),
-        contrib: root_contrib,
-    });
-
-    // Lines 8–32: traverse, tightening the frontier sums.
-    while let Some(qn) = queue.pop_front() {
-        // Cooperative checkpoint: each pop costs at least one page read,
-        // so checking per pop keeps overhead negligible. The best found
-        // so far stays valid (rank_hi penalties are achievable).
-        if guard.check().is_some() {
-            return Ok(());
+        // Lines 2–6: initial bounds from the root summary.
+        let root_summary = self.tree.root_summary().map_err(WhyNotError::Storage)?;
+        let root_contrib = self.node_contrib(l.ctx, &root_summary, &live(&cands));
+        for (cand, &(hi, lo)) in cands.iter_mut().zip(&root_contrib) {
+            cand.rank_hi += hi as i64;
+            cand.rank_lo += lo as i64;
         }
+        self.refresh_all(l, &mut cands, local, handle);
         if !cands.iter().any(|c| c.active) {
-            // Every candidate retired: nothing enqueued will be visited.
-            traversal.nodes_pruned.add(queue.len() as u64 + 1);
             return Ok(());
         }
-        let node = tree
-            .read_node(qn.node)
-            .map_err(crate::WhyNotError::Storage)?;
-        stats.nodes_expanded.fetch_add(1, Ordering::Relaxed);
 
-        // Gather each child's per-candidate contribution.
-        let mut child_nodes: Vec<(BlobRef, Vec<(u32, u32)>)> = Vec::new();
-        let mut sums: Vec<(i64, i64)> = vec![(0, 0); cands.len()];
+        let mut queue: VecDeque<Frontier> = VecDeque::new();
+        queue.push_back((self.tree.root(), root_contrib));
+        // Lines 8–32: traverse, tightening the frontier sums.
+        while let Some((node, contrib)) = queue.pop_front() {
+            // Cooperative checkpoint: each pop costs at least one page read,
+            // so checking per pop keeps overhead negligible. The best found
+            // so far stays valid (rank_hi penalties are achievable).
+            if l.guard.check().is_some() {
+                return Ok(());
+            }
+            if !cands.iter().any(|c| c.active) {
+                // Every candidate retired: nothing enqueued will be visited.
+                let traversal = self.tree.traversal();
+                traversal.nodes_pruned.add(queue.len() as u64 + 1);
+                return Ok(());
+            }
+            let (sums, children) = self.expand(l, node, &live(&cands))?;
+            // Lines 18–19: replace this node's contribution by its children's.
+            for ((cand, &(hi, lo)), &(c_hi, c_lo)) in cands.iter_mut().zip(&sums).zip(&contrib) {
+                if cand.active {
+                    cand.rank_hi += hi - c_hi as i64;
+                    cand.rank_lo += lo - c_lo as i64;
+                    debug_assert!(cand.rank_lo >= 1 && cand.rank_hi >= cand.rank_lo);
+                }
+            }
+            self.refresh_all(l, &mut cands, local, handle);
+            queue.extend(children);
+        }
+        Ok(())
+    }
+
+    fn refresh_all(
+        &self,
+        l: &Layer<'_, '_>,
+        cands: &mut [CandState],
+        local: &mut LocalBest,
+        handle: &WorkerHandle<'_>,
+    ) {
+        for cand in cands.iter_mut().filter(|c| c.active) {
+            let bracket = (cand.rank_hi as usize, cand.rank_lo as usize);
+            let active = &mut cand.active;
+            self.refresh(l, local, handle, &cand.p, bracket, || {
+                std::mem::replace(active, false)
+            });
+        }
+    }
+
+    /// Lines 20–26 for one live candidate whose rank lies in
+    /// `[lo, hi]`: offers the always-achievable `(S, max(k₀, hi))` to the
+    /// worker's local best (publishing it into the shared bound on
+    /// improvement), then retires the candidate through `retire` —
+    /// which reports whether this call was the one that retired it — if
+    /// its MinDom penalty strictly exceeds the shared bound (Theorem 3)
+    /// or its bracket has closed (Theorem 2).
+    fn refresh(
+        &self,
+        l: &Layer<'_, '_>,
+        local: &mut LocalBest,
+        handle: &WorkerHandle<'_>,
+        p: &Profile,
+        (hi, lo): (usize, usize),
+        retire: impl FnOnce() -> bool,
+    ) {
+        l.offer(local, handle, &p.doc, p.edit_distance, p.seq, hi);
+        let traversal = self.tree.traversal();
+        if l.ctx.penalty.penalty(p.edit_distance, lo) > l.best.bound().value() {
+            // Strict comparison, so the globally minimal candidate can
+            // never be pruned — the basis of the thread-count determinism
+            // argument.
+            if retire() {
+                bump(&l.stats.pruned_by_bound, 1);
+                traversal.prune_mindom_traced(lo.min(u32::MAX as usize) as u32);
+                handle.count_prune_hit();
+            }
+        } else if hi == lo && retire() {
+            // Fully converged: the exact penalty has just been offered and
+            // the frontier sums can never change again, so deeper nodes
+            // stop paying for the candidate. Theorem 2's MaxDom bound
+            // closed the gap without object-level access.
+            traversal.prune_maxdom_traced(
+                0,
+                hi.min(u32::MAX as usize) as u32,
+                lo.min(u32::MAX as usize) as u32,
+                p.edit_distance as u32,
+            );
+        }
+    }
+
+    /// Computes the per-candidate `(MaxDom, MinDom)` of one node summary,
+    /// maximised/minimised over the missing objects (§VI-A); `(0, 0)` for
+    /// retired candidates.
+    fn node_contrib(
+        &self,
+        ctx: &WhyNotContext<'_>,
+        summary: &NodeSummary,
+        live: &[Option<&Profile>],
+    ) -> Vec<(u32, u32)> {
+        let prep = match ctx.kernel.as_ref() {
+            Some(k) => PreparedNode::with_projection(summary, k.universe()),
+            None => PreparedNode::new(summary),
+        };
+        let world = self.tree.world();
+        let min_dist = world.normalized_min_dist(&ctx.query.loc, &summary.mbr);
+        let max_dist = world.normalized_max_dist(&ctx.query.loc, &summary.mbr);
+        live.iter()
+            .map(|p| {
+                p.map_or((0, 0), |p| {
+                    entry_dom_bounds(&prep, min_dist, max_dist, ctx, p)
+                })
+            })
+            .collect()
+    }
+
+    /// Algorithm 3 lines 8–17 and 29–32 for one node: reads it and sums
+    /// each live candidate's contribution over its children, returning
+    /// those sums and the children still loose for some live candidate;
+    /// the others are booked as pruned unvisited.
+    fn expand(
+        &self,
+        l: &Layer<'_, '_>,
+        node: BlobRef,
+        live: &[Option<&Profile>],
+    ) -> Result<(Vec<Sums>, Vec<Frontier>)> {
+        let ctx = l.ctx;
+        let tree = self.tree;
+        let traversal = tree.traversal();
+        let node = tree.read_node(node).map_err(WhyNotError::Storage)?;
+        bump(&l.stats.nodes_expanded, 1);
+        let mut children: Vec<Frontier> = Vec::new();
+        let mut sums: Vec<Sums> = vec![(0, 0); live.len()];
         match node {
             KcrNode::Internal(entries) => {
                 for e in &entries {
-                    let summary = tree.entry_summary(e).map_err(crate::WhyNotError::Storage)?;
-                    let contrib = node_contrib(&summary, ctx, &mut cands, world);
-                    for (i, &(hi, lo)) in contrib.iter().enumerate() {
-                        sums[i].0 += hi as i64;
-                        sums[i].1 += lo as i64;
+                    let summary = tree.entry_summary(e).map_err(WhyNotError::Storage)?;
+                    let contrib = self.node_contrib(ctx, &summary, live);
+                    for (sum, &(hi, lo)) in sums.iter_mut().zip(&contrib) {
+                        sum.0 += hi as i64;
+                        sum.1 += lo as i64;
                     }
-                    // Line 29–32: only children whose bounds are still
-                    // loose for some active candidate can tighten anything.
-                    let loose = cands
+                    // Only children whose bounds are still loose for some
+                    // live candidate can tighten anything; where the
+                    // dominance bounds agree for every one, the subtree is
+                    // pruned unvisited.
+                    let loose = live
                         .iter()
                         .zip(&contrib)
-                        .any(|(c, &(hi, lo))| c.active && hi != lo);
+                        .any(|(p, &(hi, lo))| p.is_some() && hi != lo);
                     if loose {
-                        child_nodes.push((e.child, contrib));
+                        children.push((e.child, contrib));
                     } else {
-                        // The dominance bounds agree for every active
-                        // candidate: this subtree can never tighten the
-                        // frontier sums, so it is pruned unvisited.
                         traversal.nodes_pruned_traced(e.child.first_page.0, 0);
                     }
                 }
             }
             KcrNode::Leaf(entries) => {
                 for e in &entries {
-                    let doc = tree.read_doc(e.doc).map_err(crate::WhyNotError::Storage)?;
+                    let doc = tree.read_doc(e.doc).map_err(WhyNotError::Storage)?;
                     // Bitset kernel: project the document once, then each
                     // candidate similarity is AND + popcount.
                     let doc_bits = ctx.kernel.as_ref().map(|k| k.project(&doc));
-                    let sdist = world.normalized_dist(&e.loc, &ctx.query.loc);
-                    for (i, cand) in cands.iter().enumerate() {
-                        if !cand.active {
-                            continue;
-                        }
-                        let tsim = match (&doc_bits, &cand.bits) {
+                    let sdist = tree.world().normalized_dist(&e.loc, &ctx.query.loc);
+                    for (sum, p) in sums.iter_mut().zip(live) {
+                        let Some(p) = p else { continue };
+                        let tsim = match (&doc_bits, &p.bits) {
                             (Some(db), Some(cb)) => ctx.query.sim.similarity_bits(db, cb),
-                            _ => ctx.query.sim.similarity(&doc, &cand.doc),
+                            _ => ctx.query.sim.similarity(&doc, &p.doc),
                         };
-                        let score = st_score(alpha, sdist, tsim);
+                        let score = st_score(ctx.query.alpha, sdist, tsim);
                         // max_i / min_i of per-missing dominance flags.
-                        let (any, all) = leaf_dominance(score, &cand.m_scores);
-                        sums[i].0 += any as i64;
-                        sums[i].1 += all as i64;
+                        let (any, all) = leaf_dominance(score, &p.m_scores);
+                        sum.0 += any as i64;
+                        sum.1 += all as i64;
                     }
                 }
             }
         }
+        Ok((sums, children))
+    }
 
-        // Lines 18–19: replace this node's contribution by its children's.
-        for (i, cand) in cands.iter_mut().enumerate() {
-            if !cand.active {
-                continue;
-            }
-            cand.rank_hi += sums[i].0 - qn.contrib[i].0 as i64;
-            cand.rank_lo += sums[i].1 - qn.contrib[i].1 as i64;
-            debug_assert!(cand.rank_lo >= 1 && cand.rank_hi >= cand.rank_lo);
+    /// Dynamic-mode batch seed: builds the shared candidate states, applies
+    /// the root-summary bounds (Algorithm 3 lines 2–6) and hands the root
+    /// node to the pool as the traversal's first frontier task.
+    fn launch_batch(
+        &self,
+        l: &Layer<'_, '_>,
+        batch: Vec<(u64, Candidate)>,
+        local: &mut LocalBest,
+        tctx: &TaskContext<'_, KcrTask>,
+    ) -> Result<()> {
+        if batch.is_empty() {
+            return Ok(());
         }
-        refresh_candidates(ctx, &mut cands, bound, local, stats, traversal, handle);
+        let cands = batch
+            .into_iter()
+            .map(|(seq, c)| ParCand {
+                p: Profile::new(l.ctx, seq, c),
+                bounds: AtomicU64::new(pack_delta(1, 1)),
+                active: AtomicBool::new(true),
+            })
+            .collect();
+        let scan = Arc::new(BatchScan { cands });
+        let root_summary = self.tree.root_summary().map_err(WhyNotError::Storage)?;
+        let all: Vec<Option<&Profile>> = scan.cands.iter().map(|c| Some(&c.p)).collect();
+        let root_contrib = self.node_contrib(l.ctx, &root_summary, &all);
+        for (cand, &(hi, lo)) in scan.cands.iter().zip(&root_contrib) {
+            self.tighten(
+                l,
+                cand,
+                pack_delta(hi as i64, lo as i64),
+                local,
+                &tctx.handle,
+            );
+        }
+        // An active candidate always has a loose bracket (refresh retires
+        // `hi == lo`), so any survivor justifies expanding the root.
+        if scan.cands.iter().any(|c| c.active.load(Ordering::Acquire)) {
+            tctx.spawn(KcrTask::Node(scan, self.tree.root(), root_contrib));
+        } else {
+            let traversal = self.tree.traversal();
+            traversal.nodes_pruned_traced(self.tree.root().first_page.0, 0);
+        }
+        Ok(())
+    }
 
-        for (node, contrib) in child_nodes {
-            queue.push_back(QueuedNode { node, contrib });
+    /// Dynamic-mode frontier step (Algorithm 3 lines 8–32 for one node):
+    /// replaces this node's per-candidate contribution by its children's —
+    /// one packed `fetch_add` per candidate, applied *before* any child is
+    /// spawned so coherence order respects tree order (see [`ParCand`]) —
+    /// and forks the still-loose children as new pool tasks.
+    fn expand_batch_node(
+        &self,
+        l: &Layer<'_, '_>,
+        scan: &Arc<BatchScan>,
+        node: BlobRef,
+        contrib: &[(u32, u32)],
+        local: &mut LocalBest,
+        tctx: &TaskContext<'_, KcrTask>,
+    ) -> Result<()> {
+        // Snapshot: a candidate retired after this never receives another
+        // delta from this task's subtree (its bracket is already final or
+        // its penalty already beaten — either way its bounds are dead).
+        let live: Vec<Option<&Profile>> = scan
+            .cands
+            .iter()
+            .map(|c| c.active.load(Ordering::Acquire).then_some(&c.p))
+            .collect();
+        if live.iter().all(Option::is_none) {
+            let traversal = self.tree.traversal();
+            traversal.nodes_pruned_traced(node.first_page.0, 0);
+            return Ok(());
+        }
+        let (sums, children) = self.expand(l, node, &live)?;
+        // Apply every delta before spawning any child — load-bearing for
+        // the valid-frontier invariant (see [`ParCand`]).
+        for (i, cand) in scan.cands.iter().enumerate() {
+            if live[i].is_some() {
+                let delta = pack_delta(
+                    sums[i].0 - contrib[i].0 as i64,
+                    sums[i].1 - contrib[i].1 as i64,
+                );
+                self.tighten(l, cand, delta, local, &tctx.handle);
+            }
+        }
+        for (child, child_contrib) in children {
+            tctx.spawn(KcrTask::Node(Arc::clone(scan), child, child_contrib));
+        }
+        Ok(())
+    }
+
+    /// Adds a packed `(Δhi, Δlo)` to a parallel candidate's bracket and
+    /// refreshes it from the value that very `fetch_add` produced.
+    fn tighten(
+        &self,
+        l: &Layer<'_, '_>,
+        cand: &ParCand,
+        delta: u64,
+        local: &mut LocalBest,
+        handle: &WorkerHandle<'_>,
+    ) {
+        let new = cand
+            .bounds
+            .fetch_add(delta, Ordering::AcqRel)
+            .wrapping_add(delta);
+        if cand.active.load(Ordering::Acquire) {
+            let bracket = ((new >> 32) as usize, new as u32 as usize);
+            // `swap`, so concurrent tasks book a retirement exactly once.
+            self.refresh(l, local, handle, &cand.p, bracket, || {
+                cand.active.swap(false, Ordering::AcqRel)
+            });
         }
     }
-    Ok(())
 }
 
 /// `(MaxDom, MinDom)` of one prepared node summary for one candidate,
@@ -623,24 +643,21 @@ fn bound_and_prune(
 /// across every missing object's `max_dom`/`min_dom` threshold. Both
 /// constructions produce the same [`wnsk_index::kcr::SCounts`], so the
 /// bounds (and hence every work metric) are bit-identical by kernel.
-#[allow(clippy::too_many_arguments)]
 fn entry_dom_bounds(
     prep: &PreparedNode,
     min_dist: f64,
     max_dist: f64,
     ctx: &WhyNotContext<'_>,
-    doc: &KeywordSet,
-    bits: Option<&ProjectedSet>,
-    m_tsims: &[f64],
+    p: &Profile,
 ) -> (u32, u32) {
-    let sc = match bits {
+    let sc = match &p.bits {
         Some(b) => prep.profile_bits(b),
-        None => prep.profile(doc),
+        None => prep.profile(&p.doc),
     };
     let alpha = ctx.query.alpha;
     let mut hi = 0u32;
     let mut lo = u32::MAX;
-    for (m, &tsim) in ctx.missing.iter().zip(m_tsims) {
+    for (m, &tsim) in ctx.missing.iter().zip(&p.m_tsims) {
         let tl = tau_lower(alpha, min_dist, m.sdist, tsim);
         let tu = tau_upper(alpha, max_dist, m.sdist, tsim);
         hi = hi.max(max_dom_counts(prep, &sc, tl, ctx.query.sim));
@@ -662,441 +679,4 @@ fn leaf_dominance(score: f64, m_scores: &[f64]) -> (bool, bool) {
         }
     }
     (any, all)
-}
-
-/// Computes the per-candidate `(MaxDom, MinDom)` of one node summary,
-/// maximised/minimised over the missing objects (§VI-A).
-fn node_contrib(
-    summary: &NodeSummary,
-    ctx: &WhyNotContext<'_>,
-    cands: &mut [CandState],
-    world: &wnsk_geo::WorldBounds,
-) -> Vec<(u32, u32)> {
-    let prep = prepare_node(summary, ctx);
-    let min_dist = world.normalized_min_dist(&ctx.query.loc, &summary.mbr);
-    let max_dist = world.normalized_max_dist(&ctx.query.loc, &summary.mbr);
-    cands
-        .iter()
-        .map(|cand| {
-            if !cand.active {
-                return (0, 0);
-            }
-            entry_dom_bounds(
-                &prep,
-                min_dist,
-                max_dist,
-                ctx,
-                &cand.doc,
-                cand.bits.as_ref(),
-                &cand.m_tsims,
-            )
-        })
-        .collect()
-}
-
-/// Lines 20–26: recompute penalty bounds, improve the worker's local
-/// best with the (always achievable) upper bound, prune candidates
-/// whose lower bound already exceeds the shared bound.
-#[allow(clippy::too_many_arguments)]
-fn refresh_candidates(
-    ctx: &WhyNotContext<'_>,
-    cands: &mut [CandState],
-    bound: &SharedBound,
-    local: &mut LocalBest,
-    stats: &SharedStats,
-    traversal: &wnsk_index::TraversalStats,
-    handle: &WorkerHandle<'_>,
-) {
-    for cand in cands.iter_mut() {
-        if !cand.active {
-            continue;
-        }
-        let rank_hi = cand.rank_hi as usize;
-        let rank_lo = cand.rank_lo as usize;
-        let pn_hi = ctx.penalty.penalty(cand.edit_distance, rank_hi);
-        let pn_lo = ctx.penalty.penalty(cand.edit_distance, rank_lo);
-        // The refined query (S, max(k₀, rank_hi)) certainly contains M,
-        // so pn_hi is achievable: offer it to the worker-local best and,
-        // on improvement, publish the penalty into the lock-free shared
-        // bound so sibling workers prune against it mid-layer.
-        let key = BestKey::new(pn_hi, cand.seq, rank_hi);
-        let improved = local.improve_with(key, || {
-            BestEntry::new(
-                RefinedQuery {
-                    doc: cand.doc.clone(),
-                    k: ctx.refined_k(rank_hi),
-                    rank: rank_hi,
-                    edit_distance: cand.edit_distance,
-                    penalty: pn_hi,
-                },
-                cand.seq,
-            )
-        });
-        if improved && bound.refresh(pn_hi) {
-            handle.count_bound_refresh();
-        }
-        if pn_lo > bound.value() {
-            // Theorem 3: the MinDom-derived penalty lower bound already
-            // exceeds the best refined query. Strict comparison, so the
-            // globally minimal candidate can never be pruned — the basis
-            // of the thread-count determinism argument.
-            cand.active = false;
-            stats.pruned_by_bound.fetch_add(1, Ordering::Relaxed);
-            traversal.prune_mindom_traced(rank_lo.min(u32::MAX as usize) as u32);
-            handle.count_prune_hit();
-        } else if cand.rank_hi == cand.rank_lo {
-            // Fully converged: the frontier sums can never change again
-            // (every per-node contribution gap is zero), and the exact
-            // penalty has just been offered to the local best — retire
-            // the candidate so deeper nodes stop paying for it.
-            // Theorem 2's MaxDom bound closed the gap without
-            // object-level access.
-            cand.active = false;
-            traversal.prune_maxdom_traced(
-                0,
-                rank_hi.min(u32::MAX as usize) as u32,
-                rank_lo.min(u32::MAX as usize) as u32,
-                cand.edit_distance as u32,
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Dynamic (threads > 1) batch traversal: frontier nodes as pool tasks.
-// ---------------------------------------------------------------------
-
-/// One candidate of a parallel batch traversal. The rank bracket lives
-/// in one packed atomic — `(rank_hi << 32) | rank_lo` — so a node task
-/// replaces a node's contribution by its children's with a *single*
-/// `fetch_add` and both fields move together.
-///
-/// Why every observed value is trustworthy: a child's delta is only
-/// applied after its parent's (tasks apply their delta *before*
-/// spawning children, and a same-atomic happens-before edge orders the
-/// two `fetch_add`s), so every prefix of the atomic's coherence order
-/// is a prefix-closed set of expansions — i.e. the sums of a *valid
-/// frontier*. A frontier partitions the objects, so its `hi` sum is ≥
-/// the exact dominator count and its `lo` sum is ≤ it; both fields stay
-/// in `u32` range, which also means the packed mod-2⁶⁴ arithmetic never
-/// corrupts across the field boundary. Hence: every offered `pn_hi` is
-/// achievable, every prune (`pn_lo > bound`) is sound, and a transient
-/// `hi == lo` *is* the exact rank (per-node `hi ≥ lo`, so equal sums
-/// force every frontier node exact — retiring there is Theorem 2).
-struct ParCand {
-    doc: KeywordSet,
-    /// `doc` projected onto the question universe (bitset kernel only).
-    bits: Option<ProjectedSet>,
-    edit_distance: usize,
-    /// Global candidate sequence number (lexicographic merge tiebreak).
-    seq: u64,
-    /// `TSim(m_i, S)` per missing object.
-    m_tsims: Vec<f64>,
-    /// `ST(m_i, q_S)` per missing object (for exact leaf dominance).
-    m_scores: Vec<f64>,
-    /// Packed `(rank_hi << 32) | rank_lo`, both including the `1 +`.
-    bounds: AtomicU64,
-    active: AtomicBool,
-}
-
-/// The shared state of one batch's traversal; node tasks hold it by
-/// [`Arc`] and apply their bound deltas concurrently.
-struct BatchScan {
-    cands: Vec<ParCand>,
-}
-
-/// A task of the dynamic KcR layer execution: a whole candidate batch
-/// (roots its traversal) or one frontier node of an in-flight batch,
-/// carrying that node's per-candidate `(MaxDom, MinDom)` contribution.
-enum KcrTask {
-    Batch(u64, Vec<Candidate>),
-    Node(Arc<BatchScan>, BlobRef, Vec<(u32, u32)>),
-}
-
-fn pack_bounds(hi: u32, lo: u32) -> u64 {
-    ((hi as u64) << 32) | lo as u64
-}
-
-fn pack_delta(dhi: i64, dlo: i64) -> u64 {
-    (dhi << 32).wrapping_add(dlo) as u64
-}
-
-/// The parallel counterpart of one candidate's slice of
-/// [`refresh_candidates`], fed the post-delta packed value the caller
-/// computed from its own `fetch_add` return.
-#[allow(clippy::too_many_arguments)]
-fn refresh_one(
-    ctx: &WhyNotContext<'_>,
-    cand: &ParCand,
-    hi: u32,
-    lo: u32,
-    bound: &SharedBound,
-    local: &mut LocalBest,
-    stats: &SharedStats,
-    traversal: &wnsk_index::TraversalStats,
-    handle: &WorkerHandle<'_>,
-) {
-    if !cand.active.load(Ordering::Acquire) {
-        return;
-    }
-    let rank_hi = hi as usize;
-    let rank_lo = lo as usize;
-    let pn_hi = ctx.penalty.penalty(cand.edit_distance, rank_hi);
-    let pn_lo = ctx.penalty.penalty(cand.edit_distance, rank_lo);
-    let key = BestKey::new(pn_hi, cand.seq, rank_hi);
-    let improved = local.improve_with(key, || {
-        BestEntry::new(
-            RefinedQuery {
-                doc: cand.doc.clone(),
-                k: ctx.refined_k(rank_hi),
-                rank: rank_hi,
-                edit_distance: cand.edit_distance,
-                penalty: pn_hi,
-            },
-            cand.seq,
-        )
-    });
-    if improved && bound.refresh(pn_hi) {
-        handle.count_bound_refresh();
-    }
-    if pn_lo > bound.value() {
-        // Theorem 3 (strict, so the minimal candidate never prunes);
-        // `swap` so concurrent tasks book the retirement exactly once.
-        if cand.active.swap(false, Ordering::AcqRel) {
-            stats.pruned_by_bound.fetch_add(1, Ordering::Relaxed);
-            traversal.prune_mindom_traced(lo);
-            handle.count_prune_hit();
-        }
-    } else if hi == lo {
-        // Theorem 2: the bracket closed — `pn_hi` just offered is exact.
-        if cand.active.swap(false, Ordering::AcqRel) {
-            traversal.prune_maxdom_traced(0, hi, lo, cand.edit_distance as u32);
-        }
-    }
-}
-
-/// Dynamic-mode batch seed: builds the shared candidate states, applies
-/// the root-summary bounds (Algorithm 3 lines 2–6) and hands the root
-/// node to the pool as the traversal's first frontier task.
-#[allow(clippy::too_many_arguments)]
-fn launch_batch(
-    tree: &KcrTree,
-    ctx: &WhyNotContext<'_>,
-    seq0: u64,
-    batch: Vec<Candidate>,
-    bound: &SharedBound,
-    local: &mut LocalBest,
-    stats: &SharedStats,
-    tctx: &TaskContext<'_, KcrTask>,
-) -> Result<()> {
-    if batch.is_empty() {
-        return Ok(());
-    }
-    let alpha = ctx.query.alpha;
-    let world = tree.world();
-    let cands: Vec<ParCand> = batch
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let m_tsims: Vec<f64> = ctx
-                .missing
-                .iter()
-                .map(|m| ctx.query.sim.similarity(&m.doc, &c.doc))
-                .collect();
-            let m_scores: Vec<f64> = ctx
-                .missing
-                .iter()
-                .zip(&m_tsims)
-                .map(|(m, &tsim)| st_score(alpha, m.sdist, tsim))
-                .collect();
-            ParCand {
-                bits: ctx.kernel.as_ref().map(|k| k.project(&c.doc)),
-                doc: c.doc.clone(),
-                edit_distance: c.edit_distance,
-                seq: seq0 + i as u64,
-                m_tsims,
-                m_scores,
-                bounds: AtomicU64::new(pack_bounds(1, 1)),
-                active: AtomicBool::new(true),
-            }
-        })
-        .collect();
-    let scan = Arc::new(BatchScan { cands });
-
-    let root_summary = tree.root_summary().map_err(crate::WhyNotError::Storage)?;
-    let prep = prepare_node(&root_summary, ctx);
-    let min_dist = world.normalized_min_dist(&ctx.query.loc, &root_summary.mbr);
-    let max_dist = world.normalized_max_dist(&ctx.query.loc, &root_summary.mbr);
-    let traversal = tree.traversal();
-    let mut root_contrib = Vec::with_capacity(scan.cands.len());
-    for cand in &scan.cands {
-        let (hi, lo) = entry_dom_bounds(
-            &prep,
-            min_dist,
-            max_dist,
-            ctx,
-            &cand.doc,
-            cand.bits.as_ref(),
-            &cand.m_tsims,
-        );
-        let delta = pack_delta(hi as i64, lo as i64);
-        let new = cand
-            .bounds
-            .fetch_add(delta, Ordering::AcqRel)
-            .wrapping_add(delta);
-        refresh_one(
-            ctx,
-            cand,
-            (new >> 32) as u32,
-            new as u32,
-            bound,
-            local,
-            stats,
-            traversal,
-            &tctx.handle,
-        );
-        root_contrib.push((hi, lo));
-    }
-    // An active candidate always has a loose bracket (refresh retires
-    // `hi == lo`), so any survivor justifies expanding the root.
-    if scan.cands.iter().any(|c| c.active.load(Ordering::Acquire)) {
-        tctx.spawn(KcrTask::Node(scan, tree.root(), root_contrib));
-    } else {
-        traversal.nodes_pruned_traced(tree.root().first_page.0, 0);
-    }
-    Ok(())
-}
-
-/// Dynamic-mode frontier step (Algorithm 3 lines 8–32 for one node):
-/// replaces this node's per-candidate contribution by its children's —
-/// one packed `fetch_add` per candidate, applied *before* any child is
-/// spawned so coherence order respects tree order (see [`ParCand`]) —
-/// and forks the still-loose children as new pool tasks.
-#[allow(clippy::too_many_arguments)]
-fn expand_batch_node(
-    tree: &KcrTree,
-    ctx: &WhyNotContext<'_>,
-    scan: &Arc<BatchScan>,
-    node_ref: BlobRef,
-    contrib: &[(u32, u32)],
-    bound: &SharedBound,
-    local: &mut LocalBest,
-    stats: &SharedStats,
-    tctx: &TaskContext<'_, KcrTask>,
-) -> Result<()> {
-    let traversal = tree.traversal();
-    // Snapshot: a candidate retired after this never receives another
-    // delta from this task's subtree (its bracket is already final or
-    // its penalty already beaten — either way its bounds are dead).
-    let actives: Vec<bool> = scan
-        .cands
-        .iter()
-        .map(|c| c.active.load(Ordering::Acquire))
-        .collect();
-    if !actives.iter().any(|&a| a) {
-        traversal.nodes_pruned_traced(node_ref.first_page.0, 0);
-        return Ok(());
-    }
-    let node = tree
-        .read_node(node_ref)
-        .map_err(crate::WhyNotError::Storage)?;
-    stats.nodes_expanded.fetch_add(1, Ordering::Relaxed);
-    let alpha = ctx.query.alpha;
-    let world = tree.world();
-
-    let mut child_nodes: Vec<(BlobRef, Vec<(u32, u32)>)> = Vec::new();
-    let mut sums: Vec<(i64, i64)> = vec![(0, 0); scan.cands.len()];
-    match node {
-        KcrNode::Internal(entries) => {
-            for e in &entries {
-                let summary = tree.entry_summary(e).map_err(crate::WhyNotError::Storage)?;
-                let prep = prepare_node(&summary, ctx);
-                let min_dist = world.normalized_min_dist(&ctx.query.loc, &summary.mbr);
-                let max_dist = world.normalized_max_dist(&ctx.query.loc, &summary.mbr);
-                let child_contrib: Vec<(u32, u32)> = scan
-                    .cands
-                    .iter()
-                    .zip(&actives)
-                    .map(|(cand, &a)| {
-                        if !a {
-                            return (0, 0);
-                        }
-                        entry_dom_bounds(
-                            &prep,
-                            min_dist,
-                            max_dist,
-                            ctx,
-                            &cand.doc,
-                            cand.bits.as_ref(),
-                            &cand.m_tsims,
-                        )
-                    })
-                    .collect();
-                for (i, &(hi, lo)) in child_contrib.iter().enumerate() {
-                    sums[i].0 += hi as i64;
-                    sums[i].1 += lo as i64;
-                }
-                let loose = actives
-                    .iter()
-                    .zip(&child_contrib)
-                    .any(|(&a, &(hi, lo))| a && hi != lo);
-                if loose {
-                    child_nodes.push((e.child, child_contrib));
-                } else {
-                    traversal.nodes_pruned_traced(e.child.first_page.0, 0);
-                }
-            }
-        }
-        KcrNode::Leaf(entries) => {
-            for e in &entries {
-                let doc = tree.read_doc(e.doc).map_err(crate::WhyNotError::Storage)?;
-                let doc_bits = ctx.kernel.as_ref().map(|k| k.project(&doc));
-                let sdist = world.normalized_dist(&e.loc, &ctx.query.loc);
-                for (i, cand) in scan.cands.iter().enumerate() {
-                    if !actives[i] {
-                        continue;
-                    }
-                    let tsim = match (&doc_bits, &cand.bits) {
-                        (Some(db), Some(cb)) => ctx.query.sim.similarity_bits(db, cb),
-                        _ => ctx.query.sim.similarity(&doc, &cand.doc),
-                    };
-                    let score = st_score(alpha, sdist, tsim);
-                    let (any, all) = leaf_dominance(score, &cand.m_scores);
-                    sums[i].0 += any as i64;
-                    sums[i].1 += all as i64;
-                }
-            }
-        }
-    }
-
-    // Apply every delta before spawning any child — load-bearing for
-    // the valid-frontier invariant (see [`ParCand`]).
-    for (i, cand) in scan.cands.iter().enumerate() {
-        if !actives[i] {
-            continue;
-        }
-        let delta = pack_delta(
-            sums[i].0 - contrib[i].0 as i64,
-            sums[i].1 - contrib[i].1 as i64,
-        );
-        let new = cand
-            .bounds
-            .fetch_add(delta, Ordering::AcqRel)
-            .wrapping_add(delta);
-        refresh_one(
-            ctx,
-            cand,
-            (new >> 32) as u32,
-            new as u32,
-            bound,
-            local,
-            stats,
-            traversal,
-            &tctx.handle,
-        );
-    }
-    for (child, child_contrib) in child_nodes {
-        tctx.spawn(KcrTask::Node(Arc::clone(scan), child, child_contrib));
-    }
-    Ok(())
 }

@@ -99,6 +99,7 @@ impl LocalBest {
     }
 
     /// Installs `entry` iff it beats the current local best.
+    #[cfg(test)]
     pub fn offer(&mut self, entry: BestEntry) -> bool {
         self.improve_with(entry.key(), || entry)
     }

@@ -145,7 +145,9 @@ const BREACH_PAGE_READS: u8 = 2;
 pub struct BudgetGuard {
     budget: QueryBudget,
     start: Instant,
-    pool: Arc<BufferPool>,
+    /// `None` when the query reads no pages of its own: the page-read
+    /// cap then never trips.
+    pool: Option<Arc<BufferPool>>,
     reads_before: u64,
     breach: AtomicU8,
 }
@@ -153,7 +155,11 @@ pub struct BudgetGuard {
 impl BudgetGuard {
     /// Starts the clock and snapshots the pool's read counter.
     pub fn new(budget: QueryBudget, pool: Arc<BufferPool>) -> Self {
-        let reads_before = pool.stats().physical_reads;
+        Self::with_pool(budget, Some(pool))
+    }
+
+    pub(crate) fn with_pool(budget: QueryBudget, pool: Option<Arc<BufferPool>>) -> Self {
+        let reads_before = pool.as_ref().map_or(0, |p| p.stats().physical_reads);
         BudgetGuard {
             budget,
             start: Instant::now(),
@@ -184,9 +190,8 @@ impl BudgetGuard {
                 return Some(DegradeReason::DeadlineExceeded);
             }
         }
-        if let Some(max) = self.budget.max_page_reads {
-            let reads = self
-                .pool
+        if let (Some(max), Some(pool)) = (self.budget.max_page_reads, &self.pool) {
+            let reads = pool
                 .stats()
                 .physical_reads
                 .saturating_sub(self.reads_before);

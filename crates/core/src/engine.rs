@@ -58,6 +58,24 @@ pub enum DominatorCount {
     AtLeast(usize),
 }
 
+/// Adds up per-part counts of a disjoint partition: exact only when
+/// every part is.
+impl std::iter::Sum for DominatorCount {
+    fn sum<I: Iterator<Item = Self>>(parts: I) -> Self {
+        parts.fold(DominatorCount::Exact(0), |total, part| {
+            match (total, part) {
+                (DominatorCount::Exact(a), DominatorCount::Exact(b)) => {
+                    DominatorCount::Exact(a + b)
+                }
+                (
+                    DominatorCount::Exact(a) | DominatorCount::AtLeast(a),
+                    DominatorCount::Exact(b) | DominatorCount::AtLeast(b),
+                ) => DominatorCount::AtLeast(a + b),
+            }
+        })
+    }
+}
+
 impl WhyNotEngine {
     /// Builds both indexes over `dataset` on in-memory page stores.
     pub fn build_in_memory(dataset: Dataset) -> Result<Self> {

@@ -52,5 +52,5 @@ pub use rank::{rank_of_set, SetRankOutcome};
 
 pub use algorithms::{
     answer_advanced, answer_approx_advanced, answer_approx_basic, answer_approx_kcr, answer_basic,
-    answer_basic_with_budget, answer_kcr, AdvancedOptions, KcrOptions,
+    answer_basic_with_budget, answer_counted, answer_kcr, AdvancedOptions, KcrOptions,
 };

@@ -279,10 +279,10 @@ pub struct AlgoStats {
     /// Distribution of per-task executor latencies (empty when the
     /// solver never timed tasks).
     pub task_latency: wnsk_obs::HistSnapshot,
-    /// The initial rank `R(M, q₀)` the solver worked from (KcRBased
-    /// only; 0 when the phase never completed). The serving layer uses
-    /// this to seed its rank cache so repeated why-not questions can
-    /// skip the initial-rank scan via `KcrOptions::initial_rank_hint`.
+    /// The initial rank `R(M, q₀)` the solver worked from (0 when the
+    /// phase never completed). The serving layer uses this to seed its
+    /// rank cache so repeated why-not questions can skip the
+    /// initial-rank scan via `KcrOptions::initial_rank_hint`.
     pub initial_rank: u64,
 }
 

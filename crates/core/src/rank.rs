@@ -3,6 +3,7 @@
 
 use crate::budget::{BudgetGuard, DegradeReason};
 use crate::error::Result;
+use std::collections::HashSet;
 use wnsk_index::{ObjectId, ObjectStream};
 
 /// How often a scan re-measures its [`BudgetGuard`] (stream pulls between
@@ -32,6 +33,15 @@ impl SetRankOutcome {
     }
 }
 
+/// `min_i ST(m_i, q')`: the worst missing object's score, whose strict
+/// dominators decide `R(M, q')`.
+pub(crate) fn min_score(targets: &[(ObjectId, f64)]) -> f64 {
+    targets
+        .iter()
+        .map(|&(_, s)| s)
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Computes `R(M, q')` by pulling a score-ordered stream.
 ///
 /// `R(M, q')` equals the rank of the *worst-scoring* missing object, i.e.
@@ -48,20 +58,24 @@ impl SetRankOutcome {
 /// * `guard` — cooperative budget checkpoint, measured every
 ///   `BUDGET_CHECK_INTERVAL` (64) pulls; a breach returns
 ///   [`SetRankOutcome::Breached`].
+/// * `live_limit` — re-derives `max_rank` at every budget checkpoint
+///   (`None` from it aborts at once), so a scan tightens its early stop
+///   as the shared penalty bound falls. Needs a `guard`.
+/// * `dominators` — collects the id of every dominator pulled (the
+///   AdvancedBS dominator cache).
 pub fn rank_of_set(
     stream: &mut dyn ObjectStream,
     targets: &[(ObjectId, f64)],
-    max_rank: Option<usize>,
+    mut max_rank: Option<usize>,
     until_found: bool,
     guard: Option<&BudgetGuard>,
+    live_limit: Option<&dyn Fn() -> Option<usize>>,
+    mut dominators: Option<&mut HashSet<ObjectId>>,
 ) -> Result<SetRankOutcome> {
     assert!(!targets.is_empty(), "rank_of_set needs at least one target");
-    let min_score = targets
-        .iter()
-        .map(|&(_, s)| s)
-        .fold(f64::INFINITY, f64::min);
+    let min_score = min_score(targets);
     let mut remaining: Vec<ObjectId> = targets.iter().map(|&(id, _)| id).collect();
-    let mut dominators = 0usize;
+    let mut seen = 0usize;
     let mut pulls = 0usize;
     loop {
         if let Some(guard) = guard {
@@ -69,13 +83,24 @@ pub fn rank_of_set(
                 if let Some(reason) = guard.check() {
                     return Ok(SetRankOutcome::Breached { reason });
                 }
+                if let Some(limit) = live_limit {
+                    max_rank = match limit() {
+                        None => {
+                            return Ok(SetRankOutcome::Aborted {
+                                seen_dominators: seen,
+                            })
+                        }
+                        Some(usize::MAX) => None,
+                        Some(r) => Some(r),
+                    };
+                }
             }
             pulls += 1;
         }
         if let Some(max_rank) = max_rank {
-            if dominators + 1 > max_rank {
+            if seen + 1 > max_rank {
                 return Ok(SetRankOutcome::Aborted {
-                    seen_dominators: dominators,
+                    seen_dominators: seen,
                 });
             }
         }
@@ -83,9 +108,12 @@ pub fn rank_of_set(
             None => break,
             Some((id, score)) => {
                 if score > min_score {
-                    dominators += 1;
+                    seen += 1;
                     // A better-scoring missing object is also retrieved.
                     remaining.retain(|&t| t != id);
+                    if let Some(sink) = dominators.as_deref_mut() {
+                        sink.insert(id);
+                    }
                 } else if until_found {
                     remaining.retain(|&t| t != id);
                     if remaining.is_empty() {
@@ -97,9 +125,7 @@ pub fn rank_of_set(
             }
         }
     }
-    Ok(SetRankOutcome::Exact {
-        rank: dominators + 1,
-    })
+    Ok(SetRankOutcome::Exact { rank: seen + 1 })
 }
 
 #[cfg(test)]
@@ -132,7 +158,8 @@ mod tests {
     #[test]
     fn single_target_rank() {
         let mut s = VecStream::new(vec![(1, 0.9), (2, 0.8), (3, 0.5), (4, 0.4)]);
-        let out = rank_of_set(&mut s, &[(ObjectId(3), 0.5)], None, false, None).unwrap();
+        let out =
+            rank_of_set(&mut s, &[(ObjectId(3), 0.5)], None, false, None, None, None).unwrap();
         assert_eq!(out.rank(), Some(3));
     }
 
@@ -145,6 +172,8 @@ mod tests {
             &[(ObjectId(2), 0.8), (ObjectId(3), 0.5)],
             None,
             false,
+            None,
+            None,
             None,
         )
         .unwrap();
@@ -161,6 +190,8 @@ mod tests {
             None,
             true,
             None,
+            None,
+            None,
         )
         .unwrap();
         assert_eq!(out.rank(), Some(2));
@@ -170,14 +201,23 @@ mod tests {
     fn until_found_scans_past_ties() {
         // Three objects tie at 0.5; the target is emitted last among them.
         let mut s = VecStream::new(vec![(1, 0.9), (2, 0.5), (3, 0.5), (4, 0.5)]);
-        let out = rank_of_set(&mut s, &[(ObjectId(4), 0.5)], None, true, None).unwrap();
+        let out = rank_of_set(&mut s, &[(ObjectId(4), 0.5)], None, true, None, None, None).unwrap();
         assert_eq!(out.rank(), Some(2), "ties are not dominators");
     }
 
     #[test]
     fn early_stop_aborts() {
         let mut s = VecStream::new((0..100).map(|i| (i, 1.0 - i as f64 / 200.0)).collect());
-        let out = rank_of_set(&mut s, &[(ObjectId(99), 0.0)], Some(10), false, None).unwrap();
+        let out = rank_of_set(
+            &mut s,
+            &[(ObjectId(99), 0.0)],
+            Some(10),
+            false,
+            None,
+            None,
+            None,
+        )
+        .unwrap();
         assert_eq!(
             out,
             SetRankOutcome::Aborted {
@@ -189,7 +229,16 @@ mod tests {
     #[test]
     fn early_stop_exact_when_rank_within() {
         let mut s = VecStream::new(vec![(1, 0.9), (2, 0.8), (3, 0.5)]);
-        let out = rank_of_set(&mut s, &[(ObjectId(3), 0.5)], Some(3), false, None).unwrap();
+        let out = rank_of_set(
+            &mut s,
+            &[(ObjectId(3), 0.5)],
+            Some(3),
+            false,
+            None,
+            None,
+            None,
+        )
+        .unwrap();
         assert_eq!(out.rank(), Some(3));
     }
 
@@ -203,7 +252,16 @@ mod tests {
         )));
         let guard = BudgetGuard::new(QueryBudget::unlimited().with_deadline(Duration::ZERO), pool);
         let mut s = VecStream::new(vec![(1, 0.9), (2, 0.8)]);
-        let out = rank_of_set(&mut s, &[(ObjectId(2), 0.8)], None, false, Some(&guard)).unwrap();
+        let out = rank_of_set(
+            &mut s,
+            &[(ObjectId(2), 0.8)],
+            None,
+            false,
+            Some(&guard),
+            None,
+            None,
+        )
+        .unwrap();
         assert_eq!(
             out,
             SetRankOutcome::Breached {
@@ -214,11 +272,61 @@ mod tests {
     }
 
     #[test]
+    fn live_limit_tightens_at_checkpoints_and_dominators_are_collected() {
+        use crate::QueryBudget;
+        use std::cell::Cell;
+        use std::sync::Arc;
+        let pool = Arc::new(wnsk_storage::BufferPool::with_default_config(Arc::new(
+            wnsk_storage::MemBackend::new(),
+        )));
+        let guard = BudgetGuard::new(QueryBudget::unlimited(), pool);
+        let items = || (0..200).map(|i| (i, 1.0 - i as f64 / 400.0)).collect();
+        // Unlimited at the first checkpoint, 70 at the second (pull 64).
+        let calls = Cell::new(0);
+        let limit = || {
+            calls.set(calls.get() + 1);
+            (calls.get() > 1).then_some(70).or(Some(usize::MAX))
+        };
+        let mut found = HashSet::new();
+        let out = rank_of_set(
+            &mut VecStream::new(items()),
+            &[(ObjectId(199), 0.0)],
+            None,
+            false,
+            Some(&guard),
+            Some(&limit),
+            Some(&mut found),
+        )
+        .unwrap();
+        assert_eq!(
+            out,
+            SetRankOutcome::Aborted {
+                seen_dominators: 70
+            }
+        );
+        assert_eq!(found.len(), 70);
+        assert!(found.contains(&ObjectId(0)) && !found.contains(&ObjectId(70)));
+        // A live limit of `None` aborts at the very first checkpoint.
+        let out = rank_of_set(
+            &mut VecStream::new(items()),
+            &[(ObjectId(199), 0.0)],
+            None,
+            false,
+            Some(&guard),
+            Some(&|| None),
+            None,
+        )
+        .unwrap();
+        assert_eq!(out, SetRankOutcome::Aborted { seen_dominators: 0 });
+    }
+
+    #[test]
     fn exhausted_stream_gives_rank() {
         let mut s = VecStream::new(vec![(1, 0.9)]);
         // Target never appears with until_found — stream ends; rank is
         // still 1 + dominators.
-        let out = rank_of_set(&mut s, &[(ObjectId(5), 0.95)], None, true, None).unwrap();
+        let out =
+            rank_of_set(&mut s, &[(ObjectId(5), 0.95)], None, true, None, None, None).unwrap();
         assert_eq!(out.rank(), Some(1));
     }
 }

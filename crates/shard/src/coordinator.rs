@@ -20,21 +20,23 @@
 //! * **ranks**: dominator counts are additive over a disjoint
 //!   partition, so `R(M, q) = 1 + Σ_s |{o ∈ shard_s : ST(o,q) >
 //!   min_m ST(m,q)}|` equals the single-engine rank scan.
-//! * **why-not**: the coordinator replays the reference solver's
-//!   sequential candidate order over the mirror (same enumeration, same
-//!   penalty model, same strict-improvement rule), with each
-//!   candidate's rank verified by a scatter of shard-local
-//!   [`WhyNotEngine::count_dominators`] scans under the *full*
-//!   tie-permissive rank limit. A shard aborting at limit `l` implies
-//!   the global scan would abort; all shards exact with `Σ + 1 ≤ l`
-//!   implies the global scan completes with the same rank — so
-//!   prune/accept decisions match the one-shard solver exactly, for
-//!   every scatter thread count.
+//! * **why-not**: the coordinator runs the core library's one
+//!   Algorithm-4 driver over the mirror (same enumeration, same penalty
+//!   model, same sequence-numbered merge) with AdvancedBS's serial
+//!   verifier, Opt1 and Opt2 on and Opt3 off
+//!   ([`wnsk_core::answer_counted`]); the only sharded part is the rank:
+//!   each candidate's rank, and `R(M, q)` itself, is a scatter of
+//!   shard-local [`WhyNotEngine::count_dominators`] scans under the
+//!   *full* tie-permissive rank limit. A shard aborting at limit `l`
+//!   implies the global scan would abort; all shards exact with
+//!   `Σ + 1 ≤ l` implies the global scan completes with the same rank —
+//!   so prune/accept decisions, the answer and every work counter match
+//!   the one-shard solver exactly, for every scatter thread count.
 //!
-//! The cross-shard penalty bound is a [`SharedBound`] (the same
-//! fetch-min the parallel solvers use): every improvement a candidate
-//! streams back tightens the rank limit later candidates scatter with,
-//! and the tightening count is exported as `shard.bound_tightenings`.
+//! The driver's shared penalty bound is the cross-shard bound: every
+//! improvement a candidate streams back tightens the rank limit later
+//! candidates scatter with, and the tightening count is exported as
+//! `shard.bound_tightenings`.
 //!
 //! # Durability
 //!
@@ -57,10 +59,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 use wnsk_core::{
-    AlgoStats, AnswerQuality, CandidateEnumerator, DominatorCount, Mutation, RefinedQuery,
-    WhyNotAnswer, WhyNotContext, WhyNotEngine, WhyNotError, WhyNotQuestion,
+    answer_counted, Mutation, WhyNotAnswer, WhyNotEngine, WhyNotError, WhyNotQuestion,
 };
-use wnsk_exec::{ExecMetrics, Executor, SharedBound};
+use wnsk_exec::{ExecMetrics, Executor};
 use wnsk_index::{Dataset, ObjectId, SpatialKeywordQuery, SpatialObject};
 use wnsk_obs::{names, Counter, Hist, JsonValue, Registry};
 use wnsk_storage::{BufferPool, FileBackend, RecoveryReport, Wal};
@@ -647,39 +648,31 @@ impl Coordinator {
     /// gathers the results in shard order (a sequence barrier: results
     /// are merged only after every shard answered, so the merge is
     /// deterministic for every thread count).
-    fn scatter<R, F>(&self, f: F) -> Result<Vec<R>>
+    fn scatter<R, F>(&self, f: F) -> wnsk_core::Result<Vec<R>>
     where
         R: Send,
-        F: Fn(usize, &WhyNotEngine) -> std::result::Result<R, WhyNotError> + Sync,
+        F: Fn(usize, &WhyNotEngine) -> wnsk_core::Result<R> + Sync,
     {
         self.scatter_count.inc();
         let n = self.shards.len();
         if self.threads <= 1 || n == 1 {
-            return (0..n)
-                .map(|s| f(s, self.read_engine(s)).map_err(ShardError::Engine))
-                .collect();
+            return (0..n).map(|s| f(s, self.read_engine(s))).collect();
         }
         let exec = Executor::new(self.threads.min(n));
         let metrics = ExecMetrics::new(exec.threads());
-        let states = exec
-            .run(
-                (0..n).collect(),
-                &metrics,
-                || false,
-                |_| Vec::new(),
-                |state: &mut Vec<(usize, R)>, s, _h| -> std::result::Result<(), WhyNotError> {
-                    let r = f(s, self.read_engine(s))?;
-                    state.push((s, r));
-                    Ok(())
-                },
-            )
-            .map_err(ShardError::Engine)?;
+        let states = exec.run(
+            (0..n).collect(),
+            &metrics,
+            || false,
+            |_| Vec::new(),
+            |state: &mut Vec<(usize, R)>, s, _h| -> wnsk_core::Result<()> {
+                state.push((s, f(s, self.read_engine(s))?));
+                Ok(())
+            },
+        )?;
+        // Never cancelled and no task failed: every shard answered.
         let mut merged: Vec<(usize, R)> = states.into_iter().flatten().collect();
-        if merged.len() != n {
-            return Err(ShardError::Config(
-                "scatter lost a shard result".to_string(),
-            ));
-        }
+        assert_eq!(merged.len(), n, "scatter lost a shard result");
         merged.sort_by_key(|&(s, _)| s);
         Ok(merged.into_iter().map(|(_, r)| r).collect())
     }
@@ -705,123 +698,23 @@ impl Coordinator {
         Ok(all)
     }
 
-    /// The global rank `R(M, q)` reconstructed from scattered per-shard
-    /// dominator counts (strict dominators + 1).
-    pub fn initial_rank(&self, question: &WhyNotQuestion) -> Result<usize> {
-        let min_score = self.min_target_score(question);
-        let counts =
-            self.scatter(|_s, engine| engine.count_dominators(&question.query, min_score, None))?;
-        let dominators: usize = counts
-            .iter()
-            .map(|c| match c {
-                DominatorCount::Exact(n) | DominatorCount::AtLeast(n) => *n,
-            })
-            .sum();
-        Ok(dominators + 1)
-    }
-
-    fn min_target_score(&self, question: &WhyNotQuestion) -> f64 {
-        question
-            .missing
-            .iter()
-            .map(|&id| self.mirror.score(self.mirror.object(id), &question.query))
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Answers a why-not question with the scatter-gather solver: the
-    /// reference sequential candidate order over the mirror, each
-    /// candidate's rank verified by scattered shard-local dominator
-    /// scans under the shared cross-shard bound. Always exact (no
+    /// shared Algorithm-4 driver over the mirror, verifying candidates
+    /// with AdvancedBS's serial path (Opt1 and Opt2 on, Opt3 off) where
+    /// every rank — `R(M, q)` included — is the sum of scattered
+    /// shard-local dominator counts ([`answer_counted`]). Always exact (no
     /// budget ladder); bit-identical to the single-engine solvers.
     pub fn whynot(&self, question: &WhyNotQuestion) -> Result<WhyNotAnswer> {
-        let wall_start = Instant::now();
-        question.validate(&self.mirror)?;
-        let rank_start = Instant::now();
-        let initial_rank = self.initial_rank(question)?;
-        let phase_initial_rank = rank_start.elapsed();
-        let ctx = WhyNotContext::new(&self.mirror, question, initial_rank)?;
-        let enum_start = Instant::now();
-        let enumerator = CandidateEnumerator::new(&ctx);
-        let phase_enumeration = enum_start.elapsed();
-
-        let verify_start = Instant::now();
-        let bound = SharedBound::new(ctx.penalty.baseline_penalty());
-        let mut best = ctx.baseline();
-        let mut stats = AlgoStats {
-            initial_rank: initial_rank as u64,
-            ..AlgoStats::default()
-        };
-        'layers: for d in 1..=enumerator.max_edit_distance() {
-            // Eqn. 6 early stop: the keyword penalty alone already
-            // matches the best, and it only grows with d.
-            if ctx.penalty.keyword_penalty(d) >= bound.value() {
-                break 'layers;
-            }
-            for cand in enumerator.layer(d, true) {
-                stats.candidates_total += 1;
-                let p_c = bound.value();
-                let limit = match ctx.penalty.rank_upper_limit(d, p_c) {
-                    None => {
-                        stats.pruned_by_bound += 1;
-                        continue;
-                    }
-                    Some(usize::MAX) => None,
-                    Some(r) => Some(r),
-                };
-                let targets = ctx.missing_targets(&cand.doc);
-                let min_score = targets
-                    .iter()
-                    .map(|&(_, score)| score)
-                    .fold(f64::INFINITY, f64::min);
-                let q_s = ctx.query.with_doc(cand.doc.clone());
-                stats.queries_run += 1;
-                // Full-limit scatter: every shard counts under the same
-                // tie-permissive limit; the abort/complete decision on
-                // the gathered counts reproduces the single scan's.
-                let counts =
-                    self.scatter(|_s, engine| engine.count_dominators(&q_s, min_score, limit))?;
-                let mut dominators = 0usize;
-                let mut aborted = false;
-                for c in &counts {
-                    match c {
-                        DominatorCount::Exact(n) => dominators += n,
-                        DominatorCount::AtLeast(n) => {
-                            dominators += n;
-                            aborted = true;
-                        }
-                    }
-                }
-                if aborted || matches!(limit, Some(l) if dominators + 1 > l) {
-                    stats.pruned_by_bound += 1;
-                    continue;
-                }
-                let rank = dominators + 1;
-                let penalty = ctx.penalty.penalty(d, rank);
-                // Strict improvement in sequence order — the same
-                // winner the solvers' total-order BestKey merge picks.
-                if penalty < best.penalty {
-                    best = RefinedQuery {
-                        doc: cand.doc.clone(),
-                        k: ctx.refined_k(rank),
-                        rank,
-                        edit_distance: d,
-                        penalty,
-                    };
-                    bound.refresh(penalty);
-                }
-            }
-        }
-        stats.phase_verification = verify_start.elapsed();
-        stats.phase_initial_rank = phase_initial_rank;
-        stats.phase_enumeration = phase_enumeration;
-        stats.bound_refreshes = bound.tightened();
-        stats.wall = wall_start.elapsed();
-        self.tightenings.add(bound.tightened());
-        Ok(WhyNotAnswer {
-            refined: best,
-            stats,
-            quality: AnswerQuality::Exact,
-        })
+        let answer = answer_counted(&self.mirror, question, |query, min_score, limit| {
+            // Full-limit scatter: every shard counts under the same
+            // tie-permissive limit; the summed counts reproduce the single
+            // scan's abort/complete decision.
+            let counts =
+                self.scatter(|_s, engine| engine.count_dominators(query, min_score, limit))?;
+            Ok(counts.into_iter().sum())
+        })?;
+        self.tightenings.add(answer.stats.bound_refreshes);
+        Ok(answer)
     }
 }
 

@@ -8,7 +8,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
-use wnsk_core::{KcrOptions, Mutation, RefinedQuery, WhyNotEngine, WhyNotQuestion};
+use wnsk_core::{
+    AdvancedOptions, KcrOptions, Mutation, RefinedQuery, WhyNotEngine, WhyNotQuestion,
+};
 use wnsk_geo::{Point, WorldBounds};
 use wnsk_index::{Dataset, ObjectId, SpatialKeywordQuery, SpatialObject};
 use wnsk_shard::{Coordinator, CoordinatorConfig, ShardError, ShardManifest};
@@ -159,6 +161,17 @@ fn coordinator_whynot_matches_every_kernel_and_solver() {
                 &format!("kcr kernel={kernel:?} seed={seed}"),
             );
         }
+        // The sharded plane verifies with AdvancedBS's serial path, Opt3
+        // off: its work counters are that solver's, whatever the split.
+        let twin = engine
+            .answer_advanced(
+                &question,
+                AdvancedOptions {
+                    keyword_set_filtering: false,
+                    ..AdvancedOptions::default()
+                },
+            )
+            .unwrap();
         for shards in SHARD_COUNTS {
             for threads in THREAD_COUNTS {
                 let coord = coordinator(&ds, shards, threads);
@@ -169,7 +182,64 @@ fn coordinator_whynot_matches_every_kernel_and_solver() {
                     advanced.stats.initial_rank, merged.stats.initial_rank,
                     "{label}: initial rank R(M, q) diverged"
                 );
+                let work = |s: &wnsk_core::AlgoStats| {
+                    (s.candidates_total, s.queries_run, s.pruned_by_bound)
+                };
+                assert_eq!(
+                    work(&twin.stats),
+                    work(&merged.stats),
+                    "{label}: (candidates, queries_run, pruned_by_bound) differ from AdvancedBS \
+                     Opt1+Opt2"
+                );
             }
+        }
+    }
+    assert!(covered >= 3, "only {covered} seeds produced a workload");
+}
+
+/// Every solver reports the `R(M, q)` it worked from — BS and
+/// AdvancedBS included, on the single engine and on the sharded plane.
+#[test]
+fn every_solver_reports_the_same_initial_rank() {
+    let vocab = 40;
+    let mut covered = 0;
+    for seed in 0..5u64 {
+        let ds = random_dataset(300, vocab, 1000 + seed);
+        let Some(question) = make_question(&ds, vocab, 2000 + seed) else {
+            continue;
+        };
+        covered += 1;
+        let engine = WhyNotEngine::build_in_memory(ds.clone()).unwrap();
+        let truth = question
+            .missing
+            .iter()
+            .map(|&id| ds.rank_of(id, &question.query))
+            .max()
+            .unwrap() as u64;
+        let mut reported = vec![
+            ("BS", engine.answer_basic(&question).unwrap()),
+            (
+                "AdvancedBS",
+                engine
+                    .answer_advanced(&question, AdvancedOptions::default())
+                    .unwrap(),
+            ),
+            (
+                "KcRBased",
+                engine.answer_kcr(&question, KcrOptions::default()).unwrap(),
+            ),
+        ];
+        for shards in [1, 2] {
+            reported.push((
+                "sharded",
+                coordinator(&ds, shards, 1).whynot(&question).unwrap(),
+            ));
+        }
+        for (solver, answer) in reported {
+            assert_eq!(
+                answer.stats.initial_rank, truth,
+                "{solver} seed={seed}: stats.initial_rank"
+            );
         }
     }
     assert!(covered >= 3, "only {covered} seeds produced a workload");
