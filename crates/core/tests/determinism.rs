@@ -355,3 +355,66 @@ fn parallel_runs_agree_with_every_opt_combination() {
         }
     }
 }
+
+/// One pinned run: `(seed, batch_size, refined doc term ids, [k', rank,
+/// edit distance], penalty bits, [candidates_total, pruned_by_bound,
+/// nodes_expanded, io, prune_maxdom, prune_mindom])`.
+type KcrPin<'a> = (u64, usize, &'a [u32], [usize; 3], u64, [u64; 6]);
+
+/// Pins KcRBased's single-worker run on a cold pool: the refined query
+/// bits and the deterministic work of the batch traversal (candidates,
+/// bound prunes, node expansions, page reads and the Theorem 2/3
+/// retirement counts). A change to the traversal's node order or its
+/// retirement rules moves one of these numbers.
+#[rustfmt::skip]
+const KCR_T1_GOLDEN: [KcrPin<'static>; 8] = [
+    (0, 2, &[15, 24, 31, 33, 36], [5, 1, 1], 4590669220166325589, [6, 19, 114, 471, 2, 4]),
+    (0, 64, &[15, 24, 31, 33, 36], [5, 1, 1], 4590669220166325589, [6, 19, 53, 471, 2, 4]),
+    (1, 2, &[2, 27, 30], [5, 4, 1], 4591870180066957722, [5, 12, 76, 381, 3, 2]),
+    (1, 64, &[2, 27, 30], [5, 4, 1], 4591870180066957722, [5, 12, 47, 417, 3, 2]),
+    (2, 2, &[18, 25, 29], [5, 5, 1], 4591870180066957722, [5, 14, 74, 390, 1, 4]),
+    (2, 64, &[18, 25, 29], [5, 5, 1], 4591870180066957722, [5, 14, 42, 390, 1, 4]),
+    (3, 2, &[0, 2, 15, 23], [10, 10, 1], 4594051044062336401, [7, 27, 101, 435, 1, 6]),
+    (3, 64, &[0, 2, 15, 23], [10, 10, 1], 4594051044062336401, [7, 27, 52, 462, 1, 6]),
+];
+
+#[test]
+fn kcr_single_worker_traversal_is_pinned() {
+    let vocab = 40;
+    let mut golden = KCR_T1_GOLDEN.iter();
+    for seed in 0..4u64 {
+        let ds = random_dataset(400, vocab, 11_000 + seed);
+        let tree = KcrTree::build(pool(), &ds, 8).unwrap();
+        let question = make_question(&ds, vocab, 12_000 + seed)
+            .unwrap_or_else(|| panic!("seed {seed} must produce a workload"));
+        for batch_size in [2, 64] {
+            tree.pool().clear_cache();
+            let traversal = tree.traversal();
+            let (maxdom, mindom) = (traversal.prune_maxdom.get(), traversal.prune_mindom.get());
+            let opts = KcrOptions {
+                threads: 1,
+                batch_size,
+                ..KcrOptions::default()
+            };
+            let ans = answer_kcr(&ds, &tree, &question, opts).unwrap();
+            let (r, s) = (&ans.refined, &ans.stats);
+            let doc: Vec<u32> = r.doc.iter().map(|t| t.0).collect();
+            let run: KcrPin<'_> = (
+                seed,
+                batch_size,
+                &doc,
+                [r.k, r.rank, r.edit_distance],
+                r.penalty.to_bits(),
+                [
+                    s.candidates_total,
+                    s.pruned_by_bound,
+                    s.nodes_expanded,
+                    s.io,
+                    traversal.prune_maxdom.get() - maxdom,
+                    traversal.prune_mindom.get() - mindom,
+                ],
+            );
+            assert_eq!(Some(&run), golden.next(), "seed {seed}, batch {batch_size}");
+        }
+    }
+}
