@@ -170,15 +170,15 @@ fn compare_cmd(args: &[String]) -> ! {
     }
     if c.failures.is_empty() {
         println!(
-            "OK: {} rows within {:.0} % of {}",
+            "OK: {} rows match {} (serial work exactly, parallel work within {:.0} %)",
             baseline.rows.len(),
-            tolerance * 100.0,
-            base_path
+            base_path,
+            (tolerance + gate::PARALLEL_EXTRA_SLACK) * 100.0
         );
         std::process::exit(0);
     }
     println!(
-        "{} regression(s) against {} (tolerance {:.0} %)",
+        "{} failure(s) against {} (parallel tolerance {:.0} %)",
         c.failures.len(),
         base_path,
         tolerance * 100.0

@@ -25,13 +25,15 @@
 //! The driver walks the layers in ascending edit distance and stops as
 //! soon as the next layer's keyword penalty alone can no longer beat
 //! `p_c` (Algorithm 4); this verifier splits each layer into batches.
-//! With one worker each batch is one breadth-first traversal; with
-//! several, each frontier node of a batch is a [`wnsk_exec`] pool task,
-//! workers prune against the shared atomic bound mid-flight and keep
-//! per-worker local bests that merge at the layer's sequence barrier —
-//! so MaxDom/MinDom tightening stays deterministic and the refined query
-//! is bit-identical to the single-threaded run (Fig. 10's parallel
-//! variant; see [`crate::algorithms::shared`]).
+//! Every frontier node of a batch is a [`wnsk_exec`] task. On one
+//! worker the executor runs a batch's node tasks FIFO before the next
+//! batch starts, so each batch is one breadth-first traversal. On
+//! several, idle workers steal node expansions mid-batch, prune against
+//! the shared atomic bound and keep per-worker local bests that merge
+//! at the layer's sequence barrier — so MaxDom/MinDom tightening stays
+//! deterministic and the refined query is bit-identical to the
+//! one-worker run (Fig. 10's parallel variant; see
+//! [`crate::algorithms::shared`]).
 
 use crate::algorithms::count;
 use crate::algorithms::driver::{self, bump, Layer, Plan, Verifier};
@@ -41,7 +43,6 @@ use crate::enumeration::Candidate;
 use crate::error::{Result, WhyNotError};
 use crate::question::{WhyNotAnswer, WhyNotContext, WhyNotQuestion};
 use crate::rank::SetRankOutcome;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use wnsk_exec::{ExecMetrics, Executor, TaskContext, WorkerHandle};
@@ -138,68 +139,8 @@ struct Kcr<'a> {
     batch_size: usize,
 }
 
-/// What a candidate carries through a batch traversal, whichever way
-/// the traversal runs.
-struct Profile {
-    /// Global candidate sequence number (lexicographic merge tiebreak).
-    seq: u64,
-    doc: KeywordSet,
-    /// `doc` projected onto the question universe (bitset kernel only;
-    /// candidates are subsets of the universe, so this is lossless).
-    bits: Option<ProjectedSet>,
-    edit_distance: usize,
-    /// `TSim(m_i, S)` per missing object.
-    m_tsims: Vec<f64>,
-    /// `ST(m_i, q_S)` per missing object (for exact leaf dominance).
-    m_scores: Vec<f64>,
-}
-
-impl Profile {
-    fn new(ctx: &WhyNotContext<'_>, seq: u64, cand: Candidate) -> Self {
-        let m_tsims: Vec<f64> = ctx
-            .missing
-            .iter()
-            .map(|m| ctx.query.sim.similarity(&m.doc, &cand.doc))
-            .collect();
-        let m_scores = ctx
-            .missing
-            .iter()
-            .zip(&m_tsims)
-            .map(|(m, &tsim)| st_score(ctx.query.alpha, m.sdist, tsim))
-            .collect();
-        Profile {
-            seq,
-            bits: ctx.kernel.as_ref().map(|k| k.project(&cand.doc)),
-            doc: cand.doc,
-            edit_distance: cand.edit_distance,
-            m_tsims,
-            m_scores,
-        }
-    }
-}
-
-/// One candidate of a serial batch traversal.
-struct CandState {
-    p: Profile,
-    rank_hi: i64,
-    rank_lo: i64,
-    active: bool,
-}
-
-/// The profiles of a serial batch's still-active candidates.
-fn live(cands: &[CandState]) -> Vec<Option<&Profile>> {
-    cands.iter().map(|c| c.active.then_some(&c.p)).collect()
-}
-
-/// A frontier node with its per-candidate `(MaxDom, MinDom)`
-/// contribution to the frontier sums.
-type Frontier = (BlobRef, Vec<(u32, u32)>);
-
-/// One candidate's `(ΣMaxDom, ΣMinDom)` over a node's children.
-type Sums = (i64, i64);
-
-/// One candidate of a parallel batch traversal. The rank bracket lives
-/// in one packed atomic — `(rank_hi << 32) | rank_lo` — so a node task
+/// One candidate of a batch traversal. The rank bracket lives in one
+/// packed atomic — `(rank_hi << 32) | rank_lo` — so a node task
 /// replaces a node's contribution by its children's with a *single*
 /// `fetch_add` and both fields move together.
 ///
@@ -215,25 +156,64 @@ type Sums = (i64, i64);
 /// achievable, every prune (`pn_lo > bound`) is sound, and a transient
 /// `hi == lo` *is* the exact rank (per-node `hi ≥ lo`, so equal sums
 /// force every frontier node exact — retiring there is Theorem 2).
-struct ParCand {
-    p: Profile,
+struct BatchCand {
+    /// Global candidate sequence number (lexicographic merge tiebreak).
+    seq: u64,
+    doc: KeywordSet,
+    /// `doc` projected onto the question universe (bitset kernel only;
+    /// candidates are subsets of the universe, so this is lossless).
+    bits: Option<ProjectedSet>,
+    edit_distance: usize,
+    /// `TSim(m_i, S)` per missing object.
+    m_tsims: Vec<f64>,
+    /// `ST(m_i, q_S)` per missing object (for exact leaf dominance).
+    m_scores: Vec<f64>,
     /// Packed `(rank_hi << 32) | rank_lo`, both including the `1 +`.
     bounds: AtomicU64,
     active: AtomicBool,
 }
 
-/// The shared state of one batch's traversal; node tasks hold it by
-/// [`Arc`] and apply their bound deltas concurrently.
-struct BatchScan {
-    cands: Vec<ParCand>,
+impl BatchCand {
+    fn new(ctx: &WhyNotContext<'_>, seq: u64, cand: Candidate) -> Self {
+        let m_tsims: Vec<f64> = ctx
+            .missing
+            .iter()
+            .map(|m| ctx.query.sim.similarity(&m.doc, &cand.doc))
+            .collect();
+        let m_scores = ctx
+            .missing
+            .iter()
+            .zip(&m_tsims)
+            .map(|(m, &tsim)| st_score(ctx.query.alpha, m.sdist, tsim))
+            .collect();
+        BatchCand {
+            seq,
+            bits: ctx.kernel.as_ref().map(|k| k.project(&cand.doc)),
+            doc: cand.doc,
+            edit_distance: cand.edit_distance,
+            m_tsims,
+            m_scores,
+            bounds: AtomicU64::new(pack_delta(1, 1)),
+            active: AtomicBool::new(true),
+        }
+    }
 }
 
-/// A task of the dynamic KcR layer execution: a whole candidate batch
+/// A frontier node with its per-candidate `(MaxDom, MinDom)`
+/// contribution to the frontier sums.
+type Frontier = (BlobRef, Vec<(u32, u32)>);
+
+/// One candidate's `(ΣMaxDom, ΣMinDom)` over a node's children.
+type Sums = (i64, i64);
+
+/// A task of the KcR layer execution: a whole candidate batch
 /// (roots its traversal) or one frontier node of an in-flight batch,
 /// carrying that node's per-candidate `(MaxDom, MinDom)` contribution.
+/// Node tasks share the batch's candidates by [`Arc`] and apply their
+/// bound deltas concurrently.
 enum KcrTask {
     Batch(Vec<(u64, Candidate)>),
-    Node(Arc<BatchScan>, BlobRef, Vec<(u32, u32)>),
+    Node(Arc<[BatchCand]>, BlobRef, Vec<(u32, u32)>),
 }
 
 fn pack_delta(dhi: i64, dlo: i64) -> u64 {
@@ -271,165 +251,35 @@ impl Verifier for Kcr<'_> {
         // partition is identical for every thread count — parallelism
         // comes from the per-node subtree tasks, not from slicing batches
         // thinner (which would duplicate per-batch root traversals).
-        let mut batches: Vec<Vec<(u64, Candidate)>> = Vec::new();
+        let mut batches = Vec::new();
         let mut tasks = tasks.into_iter().peekable();
         while tasks.peek().is_some() {
-            batches.push(tasks.by_ref().take(self.batch_size).collect());
+            batches.push(KcrTask::Batch(
+                tasks.by_ref().take(self.batch_size).collect(),
+            ));
         }
-        if l.exec.threads() > 1 {
-            // Dynamic mode: each batch seeds a shared traversal whose
-            // frontier *nodes* are independent pool tasks — one expensive
-            // subtree no longer serialises its whole batch, and idle
-            // workers steal node expansions mid-batch (see [`ParCand`]).
-            l.exec.run_dynamic(
-                batches.into_iter().map(KcrTask::Batch).collect(),
-                l.metrics,
-                || l.guard.check().is_some(),
-                |_| LocalBest::new(),
-                |local, task, tctx| match task {
-                    KcrTask::Batch(batch) => self.launch_batch(l, batch, local, tctx),
-                    KcrTask::Node(scan, node, contrib) => {
-                        self.expand_batch_node(l, &scan, node, &contrib, local, tctx)
-                    }
-                },
-            )
-        } else {
-            l.exec.run(
-                batches,
-                l.metrics,
-                || l.guard.check().is_some(),
-                |_| LocalBest::new(),
-                |local, batch, handle| self.bound_and_prune(l, batch, local, handle),
-            )
-        }
+        // Each batch seeds a shared traversal whose frontier *nodes* are
+        // tasks: one expensive subtree never serialises its whole batch,
+        // and idle workers steal node expansions mid-batch (see
+        // [`BatchCand`]). The budget is checked before every task, each
+        // of which costs at least one page read; the best found so far
+        // stays valid (rank_hi penalties are achievable).
+        l.exec.run_dynamic(
+            batches,
+            l.metrics,
+            || l.guard.check().is_some(),
+            |_| LocalBest::new(),
+            |local, task, tctx| match task {
+                KcrTask::Batch(batch) => self.launch_batch(l, batch, local, tctx),
+                KcrTask::Node(cands, node, contrib) => {
+                    self.expand_batch_node(l, &cands, node, &contrib, local, tctx)
+                }
+            },
+        )
     }
 }
 
 impl Kcr<'_> {
-    /// Algorithm 3: finds the best refined query among one batch in one
-    /// breadth-first KcR-tree traversal, folding improvements into the
-    /// worker's local best and publishing achieved penalties into the
-    /// shared bound.
-    fn bound_and_prune(
-        &self,
-        l: &Layer<'_, '_>,
-        batch: Vec<(u64, Candidate)>,
-        local: &mut LocalBest,
-        handle: &WorkerHandle<'_>,
-    ) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let mut cands: Vec<CandState> = batch
-            .into_iter()
-            .map(|(seq, c)| CandState {
-                p: Profile::new(l.ctx, seq, c),
-                rank_hi: 1,
-                rank_lo: 1,
-                active: true,
-            })
-            .collect();
-
-        // Lines 2–6: initial bounds from the root summary.
-        let root_summary = self.tree.root_summary().map_err(WhyNotError::Storage)?;
-        let root_contrib = self.node_contrib(l.ctx, &root_summary, &live(&cands));
-        for (cand, &(hi, lo)) in cands.iter_mut().zip(&root_contrib) {
-            cand.rank_hi += hi as i64;
-            cand.rank_lo += lo as i64;
-        }
-        self.refresh_all(l, &mut cands, local, handle);
-        if !cands.iter().any(|c| c.active) {
-            return Ok(());
-        }
-
-        let mut queue: VecDeque<Frontier> = VecDeque::new();
-        queue.push_back((self.tree.root(), root_contrib));
-        // Lines 8–32: traverse, tightening the frontier sums.
-        while let Some((node, contrib)) = queue.pop_front() {
-            // Cooperative checkpoint: each pop costs at least one page read,
-            // so checking per pop keeps overhead negligible. The best found
-            // so far stays valid (rank_hi penalties are achievable).
-            if l.guard.check().is_some() {
-                return Ok(());
-            }
-            if !cands.iter().any(|c| c.active) {
-                // Every candidate retired: nothing enqueued will be visited.
-                let traversal = self.tree.traversal();
-                traversal.nodes_pruned.add(queue.len() as u64 + 1);
-                return Ok(());
-            }
-            let (sums, children) = self.expand(l, node, &live(&cands))?;
-            // Lines 18–19: replace this node's contribution by its children's.
-            for ((cand, &(hi, lo)), &(c_hi, c_lo)) in cands.iter_mut().zip(&sums).zip(&contrib) {
-                if cand.active {
-                    cand.rank_hi += hi - c_hi as i64;
-                    cand.rank_lo += lo - c_lo as i64;
-                    debug_assert!(cand.rank_lo >= 1 && cand.rank_hi >= cand.rank_lo);
-                }
-            }
-            self.refresh_all(l, &mut cands, local, handle);
-            queue.extend(children);
-        }
-        Ok(())
-    }
-
-    fn refresh_all(
-        &self,
-        l: &Layer<'_, '_>,
-        cands: &mut [CandState],
-        local: &mut LocalBest,
-        handle: &WorkerHandle<'_>,
-    ) {
-        for cand in cands.iter_mut().filter(|c| c.active) {
-            let bracket = (cand.rank_hi as usize, cand.rank_lo as usize);
-            let active = &mut cand.active;
-            self.refresh(l, local, handle, &cand.p, bracket, || {
-                std::mem::replace(active, false)
-            });
-        }
-    }
-
-    /// Lines 20–26 for one live candidate whose rank lies in
-    /// `[lo, hi]`: offers the always-achievable `(S, max(k₀, hi))` to the
-    /// worker's local best (publishing it into the shared bound on
-    /// improvement), then retires the candidate through `retire` —
-    /// which reports whether this call was the one that retired it — if
-    /// its MinDom penalty strictly exceeds the shared bound (Theorem 3)
-    /// or its bracket has closed (Theorem 2).
-    fn refresh(
-        &self,
-        l: &Layer<'_, '_>,
-        local: &mut LocalBest,
-        handle: &WorkerHandle<'_>,
-        p: &Profile,
-        (hi, lo): (usize, usize),
-        retire: impl FnOnce() -> bool,
-    ) {
-        l.offer(local, handle, &p.doc, p.edit_distance, p.seq, hi);
-        let traversal = self.tree.traversal();
-        if l.ctx.penalty.penalty(p.edit_distance, lo) > l.best.bound().value() {
-            // Strict comparison, so the globally minimal candidate can
-            // never be pruned — the basis of the thread-count determinism
-            // argument.
-            if retire() {
-                bump(&l.stats.pruned_by_bound, 1);
-                traversal.prune_mindom_traced(lo.min(u32::MAX as usize) as u32);
-                handle.count_prune_hit();
-            }
-        } else if hi == lo && retire() {
-            // Fully converged: the exact penalty has just been offered and
-            // the frontier sums can never change again, so deeper nodes
-            // stop paying for the candidate. Theorem 2's MaxDom bound
-            // closed the gap without object-level access.
-            traversal.prune_maxdom_traced(
-                0,
-                hi.min(u32::MAX as usize) as u32,
-                lo.min(u32::MAX as usize) as u32,
-                p.edit_distance as u32,
-            );
-        }
-    }
-
     /// Computes the per-candidate `(MaxDom, MinDom)` of one node summary,
     /// maximised/minimised over the missing objects (§VI-A); `(0, 0)` for
     /// retired candidates.
@@ -437,7 +287,7 @@ impl Kcr<'_> {
         &self,
         ctx: &WhyNotContext<'_>,
         summary: &NodeSummary,
-        live: &[Option<&Profile>],
+        live: &[Option<&BatchCand>],
     ) -> Vec<(u32, u32)> {
         let prep = match ctx.kernel.as_ref() {
             Some(k) => PreparedNode::with_projection(summary, k.universe()),
@@ -463,7 +313,7 @@ impl Kcr<'_> {
         &self,
         l: &Layer<'_, '_>,
         node: BlobRef,
-        live: &[Option<&Profile>],
+        live: &[Option<&BatchCand>],
     ) -> Result<(Vec<Sums>, Vec<Frontier>)> {
         let ctx = l.ctx;
         let tree = self.tree;
@@ -521,9 +371,9 @@ impl Kcr<'_> {
         Ok((sums, children))
     }
 
-    /// Dynamic-mode batch seed: builds the shared candidate states, applies
-    /// the root-summary bounds (Algorithm 3 lines 2–6) and hands the root
-    /// node to the pool as the traversal's first frontier task.
+    /// Batch seed: builds the shared candidate states, applies the
+    /// root-summary bounds (Algorithm 3 lines 2–6) and hands the root node
+    /// to the executor as the traversal's first frontier task.
     fn launch_batch(
         &self,
         l: &Layer<'_, '_>,
@@ -531,22 +381,14 @@ impl Kcr<'_> {
         local: &mut LocalBest,
         tctx: &TaskContext<'_, KcrTask>,
     ) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let cands = batch
+        let cands: Arc<[BatchCand]> = batch
             .into_iter()
-            .map(|(seq, c)| ParCand {
-                p: Profile::new(l.ctx, seq, c),
-                bounds: AtomicU64::new(pack_delta(1, 1)),
-                active: AtomicBool::new(true),
-            })
+            .map(|(seq, c)| BatchCand::new(l.ctx, seq, c))
             .collect();
-        let scan = Arc::new(BatchScan { cands });
         let root_summary = self.tree.root_summary().map_err(WhyNotError::Storage)?;
-        let all: Vec<Option<&Profile>> = scan.cands.iter().map(|c| Some(&c.p)).collect();
+        let all: Vec<Option<&BatchCand>> = cands.iter().map(Some).collect();
         let root_contrib = self.node_contrib(l.ctx, &root_summary, &all);
-        for (cand, &(hi, lo)) in scan.cands.iter().zip(&root_contrib) {
+        for (cand, &(hi, lo)) in cands.iter().zip(&root_contrib) {
             self.tighten(
                 l,
                 cand,
@@ -555,10 +397,10 @@ impl Kcr<'_> {
                 &tctx.handle,
             );
         }
-        // An active candidate always has a loose bracket (refresh retires
-        // `hi == lo`), so any survivor justifies expanding the root.
-        if scan.cands.iter().any(|c| c.active.load(Ordering::Acquire)) {
-            tctx.spawn(KcrTask::Node(scan, self.tree.root(), root_contrib));
+        // An active candidate always has a loose bracket (`tighten`
+        // retires `hi == lo`), so any survivor justifies expanding the root.
+        if cands.iter().any(|c| c.active.load(Ordering::Acquire)) {
+            tctx.spawn(KcrTask::Node(cands, self.tree.root(), root_contrib));
         } else {
             let traversal = self.tree.traversal();
             traversal.nodes_pruned_traced(self.tree.root().first_page.0, 0);
@@ -566,15 +408,15 @@ impl Kcr<'_> {
         Ok(())
     }
 
-    /// Dynamic-mode frontier step (Algorithm 3 lines 8–32 for one node):
-    /// replaces this node's per-candidate contribution by its children's —
-    /// one packed `fetch_add` per candidate, applied *before* any child is
-    /// spawned so coherence order respects tree order (see [`ParCand`]) —
-    /// and forks the still-loose children as new pool tasks.
+    /// Frontier step (Algorithm 3 lines 8–32 for one node): replaces this
+    /// node's per-candidate contribution by its children's — one packed
+    /// `fetch_add` per candidate, applied *before* any child is spawned so
+    /// coherence order respects tree order (see [`BatchCand`]) — and forks
+    /// the still-loose children as new tasks.
     fn expand_batch_node(
         &self,
         l: &Layer<'_, '_>,
-        scan: &Arc<BatchScan>,
+        cands: &Arc<[BatchCand]>,
         node: BlobRef,
         contrib: &[(u32, u32)],
         local: &mut LocalBest,
@@ -583,10 +425,9 @@ impl Kcr<'_> {
         // Snapshot: a candidate retired after this never receives another
         // delta from this task's subtree (its bracket is already final or
         // its penalty already beaten — either way its bounds are dead).
-        let live: Vec<Option<&Profile>> = scan
-            .cands
+        let live: Vec<Option<&BatchCand>> = cands
             .iter()
-            .map(|c| c.active.load(Ordering::Acquire).then_some(&c.p))
+            .map(|c| c.active.load(Ordering::Acquire).then_some(c))
             .collect();
         if live.iter().all(Option::is_none) {
             let traversal = self.tree.traversal();
@@ -595,8 +436,8 @@ impl Kcr<'_> {
         }
         let (sums, children) = self.expand(l, node, &live)?;
         // Apply every delta before spawning any child — load-bearing for
-        // the valid-frontier invariant (see [`ParCand`]).
-        for (i, cand) in scan.cands.iter().enumerate() {
+        // the valid-frontier invariant (see [`BatchCand`]).
+        for (i, cand) in cands.iter().enumerate() {
             if live[i].is_some() {
                 let delta = pack_delta(
                     sums[i].0 - contrib[i].0 as i64,
@@ -606,17 +447,22 @@ impl Kcr<'_> {
             }
         }
         for (child, child_contrib) in children {
-            tctx.spawn(KcrTask::Node(Arc::clone(scan), child, child_contrib));
+            tctx.spawn(KcrTask::Node(Arc::clone(cands), child, child_contrib));
         }
         Ok(())
     }
 
-    /// Adds a packed `(Δhi, Δlo)` to a parallel candidate's bracket and
-    /// refreshes it from the value that very `fetch_add` produced.
+    /// Adds a packed `(Δhi, Δlo)` to a candidate's bracket, then runs
+    /// Algorithm 3 lines 20–26 on the bracket `[lo, hi]` that very
+    /// `fetch_add` produced: offers the always-achievable
+    /// `(S, max(k₀, hi))` to the worker's local best (publishing it into
+    /// the shared bound on improvement), then retires the candidate if
+    /// its MinDom penalty strictly exceeds the shared bound (Theorem 3)
+    /// or its bracket has closed (Theorem 2).
     fn tighten(
         &self,
         l: &Layer<'_, '_>,
-        cand: &ParCand,
+        cand: &BatchCand,
         delta: u64,
         local: &mut LocalBest,
         handle: &WorkerHandle<'_>,
@@ -625,12 +471,35 @@ impl Kcr<'_> {
             .bounds
             .fetch_add(delta, Ordering::AcqRel)
             .wrapping_add(delta);
-        if cand.active.load(Ordering::Acquire) {
-            let bracket = ((new >> 32) as usize, new as u32 as usize);
-            // `swap`, so concurrent tasks book a retirement exactly once.
-            self.refresh(l, local, handle, &cand.p, bracket, || {
-                cand.active.swap(false, Ordering::AcqRel)
-            });
+        let (hi, lo) = ((new >> 32) as usize, new as u32 as usize);
+        debug_assert!(lo >= 1 && hi >= lo);
+        if !cand.active.load(Ordering::Acquire) {
+            return;
+        }
+        l.offer(local, handle, &cand.doc, cand.edit_distance, cand.seq, hi);
+        // `swap`, so concurrent tasks book a retirement exactly once.
+        let retire = || cand.active.swap(false, Ordering::AcqRel);
+        let traversal = self.tree.traversal();
+        if l.ctx.penalty.penalty(cand.edit_distance, lo) > l.best.bound().value() {
+            // Strict comparison, so the globally minimal candidate can
+            // never be pruned — the basis of the thread-count determinism
+            // argument.
+            if retire() {
+                bump(&l.stats.pruned_by_bound, 1);
+                traversal.prune_mindom_traced(lo.min(u32::MAX as usize) as u32);
+                handle.count_prune_hit();
+            }
+        } else if hi == lo && retire() {
+            // Fully converged: the exact penalty has just been offered and
+            // the frontier sums can never change again, so deeper nodes
+            // stop paying for the candidate. Theorem 2's MaxDom bound
+            // closed the gap without object-level access.
+            traversal.prune_maxdom_traced(
+                0,
+                hi.min(u32::MAX as usize) as u32,
+                lo.min(u32::MAX as usize) as u32,
+                cand.edit_distance as u32,
+            );
         }
     }
 }
@@ -648,7 +517,7 @@ fn entry_dom_bounds(
     min_dist: f64,
     max_dist: f64,
     ctx: &WhyNotContext<'_>,
-    p: &Profile,
+    p: &BatchCand,
 ) -> (u32, u32) {
     let sc = match &p.bits {
         Some(b) => prep.profile_bits(b),

@@ -6,6 +6,7 @@ use crate::algorithms::{
 use crate::error::{Result, WhyNotError};
 use crate::ingest::Mutation;
 use crate::question::{AlgoStats, WhyNotAnswer, WhyNotQuestion};
+use crate::rank::{count_above, SetRankOutcome};
 use std::sync::Arc;
 use wnsk_index::{Dataset, KcrTree, ObjectId, SetRTree, SpatialKeywordQuery, TopKSearch};
 use wnsk_obs::{names, QueryReport, Registry, Snapshot};
@@ -372,10 +373,10 @@ impl WhyNotEngine {
     /// touches only the score range above the threshold.
     ///
     /// With `limit = Some(l)` the scan aborts as soon as `count + 1 > l`
-    /// and reports [`DominatorCount::AtLeast`] — the same tie-permissive
-    /// abort the single-engine rank scan uses, so a coordinator pruning a
-    /// candidate against `l` makes exactly the decision the one-shard
-    /// solver would.
+    /// and reports [`DominatorCount::AtLeast`]. The scan is the
+    /// single-engine rank scan's own loop (`rank::count_above`), so a
+    /// coordinator pruning a candidate against `l` makes exactly the
+    /// decision the one-shard solver would.
     pub fn count_dominators(
         &self,
         query: &SpatialKeywordQuery,
@@ -383,19 +384,13 @@ impl WhyNotEngine {
         limit: Option<usize>,
     ) -> Result<DominatorCount> {
         let mut search = TopKSearch::new(&self.setr, query.clone());
-        let mut count = 0usize;
-        loop {
-            if let Some(l) = limit {
-                if count + 1 > l {
-                    return Ok(DominatorCount::AtLeast(count));
-                }
+        match count_above(&mut search, min_score, limit, None, None, None, None)? {
+            SetRankOutcome::Exact { rank } => Ok(DominatorCount::Exact(rank - 1)),
+            SetRankOutcome::Aborted { seen_dominators } => {
+                Ok(DominatorCount::AtLeast(seen_dominators))
             }
-            match search.next_object()? {
-                Some((_, score)) if score > min_score => count += 1,
-                _ => break,
-            }
+            SetRankOutcome::Breached { .. } => unreachable!("an unguarded scan never breaches"),
         }
-        Ok(DominatorCount::Exact(count))
     }
 
     /// Answers a why-not question with the recommended solver

@@ -66,15 +66,41 @@ pub(crate) fn min_score(targets: &[(ObjectId, f64)]) -> f64 {
 pub fn rank_of_set(
     stream: &mut dyn ObjectStream,
     targets: &[(ObjectId, f64)],
-    mut max_rank: Option<usize>,
+    max_rank: Option<usize>,
     until_found: bool,
+    guard: Option<&BudgetGuard>,
+    live_limit: Option<&dyn Fn() -> Option<usize>>,
+    dominators: Option<&mut HashSet<ObjectId>>,
+) -> Result<SetRankOutcome> {
+    assert!(!targets.is_empty(), "rank_of_set needs at least one target");
+    let remaining = until_found.then(|| targets.iter().map(|&(id, _)| id).collect());
+    count_above(
+        stream,
+        min_score(targets),
+        max_rank,
+        remaining,
+        guard,
+        live_limit,
+        dominators,
+    )
+}
+
+/// The one stream-counting loop behind [`rank_of_set`] and
+/// `WhyNotEngine::count_dominators`: counts the pulled objects scoring
+/// strictly above `min_score`. With `remaining = Some(ids)` it keeps
+/// pulling past the threshold until every listed id has been retrieved
+/// ([`rank_of_set`]'s `until_found`); with `None` it stops at the first
+/// object that does not dominate. The other parameters are
+/// [`rank_of_set`]'s.
+pub(crate) fn count_above(
+    stream: &mut dyn ObjectStream,
+    min_score: f64,
+    mut max_rank: Option<usize>,
+    mut remaining: Option<Vec<ObjectId>>,
     guard: Option<&BudgetGuard>,
     live_limit: Option<&dyn Fn() -> Option<usize>>,
     mut dominators: Option<&mut HashSet<ObjectId>>,
 ) -> Result<SetRankOutcome> {
-    assert!(!targets.is_empty(), "rank_of_set needs at least one target");
-    let min_score = min_score(targets);
-    let mut remaining: Vec<ObjectId> = targets.iter().map(|&(id, _)| id).collect();
     let mut seen = 0usize;
     let mut pulls = 0usize;
     loop {
@@ -110,11 +136,13 @@ pub fn rank_of_set(
                 if score > min_score {
                     seen += 1;
                     // A better-scoring missing object is also retrieved.
-                    remaining.retain(|&t| t != id);
+                    if let Some(remaining) = remaining.as_mut() {
+                        remaining.retain(|&t| t != id);
+                    }
                     if let Some(sink) = dominators.as_deref_mut() {
                         sink.insert(id);
                     }
-                } else if until_found {
+                } else if let Some(remaining) = remaining.as_mut() {
                     remaining.retain(|&t| t != id);
                     if remaining.is_empty() {
                         break;

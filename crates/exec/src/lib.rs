@@ -258,9 +258,11 @@ pub struct TaskContext<'a, T> {
 }
 
 impl<T> TaskContext<'_, T> {
-    /// Enqueues `task` for execution by the pool. Spawned tasks land on
-    /// the spawning worker's own deque (FIFO), so a lone worker executes
-    /// them in spawn order and idle peers steal from the tail.
+    /// Enqueues `task` for execution by the pool. On one thread the
+    /// spawned task joins the inline FIFO queue of its seed's task tree,
+    /// which drains before the next seed starts. On several it lands on
+    /// the spawning worker's own deque, which that worker pops in spawn
+    /// order while idle peers steal from it.
     pub fn spawn(&self, task: T) {
         match &self.spawner {
             Spawner::Inline(queue) => queue.borrow_mut().push_back(task),
@@ -277,9 +279,11 @@ impl<T> TaskContext<'_, T> {
 
 /// A work-stealing pool of scoped worker threads.
 ///
-/// `threads <= 1` runs tasks inline on the calling thread in task order
-/// (no pool, no synchronisation) — the sequential solvers pay nothing
-/// for the shared code path.
+/// `threads <= 1` runs tasks inline on the calling thread (no pool, no
+/// synchronisation), so the sequential solvers pay nothing for the
+/// shared code path. Seeds run in task order, and each seed's whole
+/// task tree — every task it spawned, and their spawns in turn — runs
+/// breadth-first (FIFO) before the next seed starts.
 pub struct Executor {
     threads: usize,
 }
@@ -365,7 +369,7 @@ impl Executor {
         );
         if self.threads <= 1 {
             let mut state = init(0);
-            let queue = RefCell::new(VecDeque::from(tasks));
+            let queue = RefCell::new(VecDeque::new());
             let ctx = TaskContext {
                 handle: WorkerHandle {
                     index: 0,
@@ -376,20 +380,24 @@ impl Executor {
             // Inline execution is "worker 0" for trace routing, so
             // serial and parallel traces share one shape.
             let _trace_slot = worker_scope(0);
-            loop {
-                if cancel() {
-                    break;
+            // Every task a seed spawns runs, FIFO, before the next seed.
+            for seed in tasks {
+                queue.borrow_mut().push_back(seed);
+                loop {
+                    if cancel() {
+                        return Ok(vec![state]);
+                    }
+                    let Some(task) = queue.borrow_mut().pop_front() else {
+                        break;
+                    };
+                    ctx.handle.counters.tasks.fetch_add(1, Ordering::Relaxed);
+                    let started = metrics.timing_wanted().then(Instant::now);
+                    let result = step(&mut state, task, &ctx);
+                    if let Some(t0) = started {
+                        metrics.record_task(t0.elapsed());
+                    }
+                    result?;
                 }
-                let Some(task) = queue.borrow_mut().pop_front() else {
-                    break;
-                };
-                ctx.handle.counters.tasks.fetch_add(1, Ordering::Relaxed);
-                let started = metrics.timing_wanted().then(Instant::now);
-                let result = step(&mut state, task, &ctx);
-                if let Some(t0) = started {
-                    metrics.record_task(t0.elapsed());
-                }
-                result?;
             }
             return Ok(vec![state]);
         }
@@ -676,6 +684,33 @@ mod tests {
             assert_eq!(total, (1..1024u64).sum::<u64>(), "threads {threads}");
             assert_eq!(metrics.totals().tasks, 1023);
         }
+    }
+
+    #[test]
+    fn inline_mode_drains_a_seeds_task_tree_before_the_next_seed() {
+        let exec = Executor::new(1);
+        let metrics = ExecMetrics::new(1);
+        let order = exec
+            .run_dynamic(
+                vec!["A", "B"],
+                &metrics,
+                || false,
+                |_| Vec::new(),
+                |seen: &mut Vec<&str>, task, ctx| -> Result<(), ()> {
+                    seen.push(task);
+                    match task {
+                        "A" => {
+                            ctx.spawn("A1");
+                            ctx.spawn("A2");
+                        }
+                        "A1" => ctx.spawn("A11"),
+                        _ => {}
+                    }
+                    Ok(())
+                },
+            )
+            .unwrap();
+        assert_eq!(order, vec![vec!["A", "A1", "A2", "A11", "B"]]);
     }
 
     #[test]
